@@ -15,6 +15,7 @@ which is what we do.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import warnings
 from dataclasses import dataclass
@@ -223,8 +224,22 @@ def build_all(ds: MultiViewDataset, anchor_set: AnchorSet, k: int) -> AnchorGrap
     return AnchorGraphSet(graphs=graphs, k=k)
 
 
-def save_graph_set(gs: AnchorGraphSet, root_path, seed: int | None = None) -> None:
-    """Cache a graph set as CSV view files plus a sidecar JSON (m, k, seed)."""
+def dataset_digest(ds: MultiViewDataset, normalize: bool) -> str:
+    """Graph-cache key of a loaded dataset: its views' shapes and bytes
+    (after any normalization) and the normalize flag."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(b"normalize=%d" % bool(normalize))
+    for X in ds.views:
+        h.update(repr(X.shape).encode())
+        h.update(np.ascontiguousarray(X))
+    return h.hexdigest()
+
+
+def save_graph_set(
+    gs: AnchorGraphSet, root_path, seed: int | None = None, digest: str | None = None
+) -> None:
+    """Cache a graph set as CSV view files plus a sidecar JSON holding
+    m, k, seed and, when given, the dataset digest."""
     root = Path(root_path)
     try:
         root.mkdir(parents=True, exist_ok=True)
@@ -240,6 +255,8 @@ def save_graph_set(gs: AnchorGraphSet, root_path, seed: int | None = None) -> No
             encoding="utf-8",
         )
         sidecar = {"m": gs.m, "k": gs.k, "seed": seed}
+        if digest is not None:
+            sidecar["digest"] = digest
         (root / GRAPH_META_FILE).write_text(
             json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
         )
@@ -255,13 +272,16 @@ def load_graph_set(root_path) -> tuple[AnchorGraphSet, dict]:
         raise MissingFile(f"{side_path}: no such file")
     try:
         sidecar = json.loads(side_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedMeta(f"{side_path}: {exc}") from None
+        k = int(sidecar["k"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise MalformedMeta(f"{side_path}: {type(exc).__name__}: {exc}") from None
     meta_path = root / "meta.json"
     if not meta_path.is_file():
         raise MissingFile(f"{meta_path}: no such file")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    graphs = []
-    for entry in meta["views"]:
-        graphs.append(read_matrix_csv(root / entry["file"]))
-    return AnchorGraphSet(graphs=graphs, k=int(sidecar["k"])), sidecar
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        files = [entry["file"] for entry in meta["views"]]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise MalformedMeta(f"{meta_path}: {type(exc).__name__}: {exc}") from None
+    graphs = [read_matrix_csv(root / f) for f in files]
+    return AnchorGraphSet(graphs=graphs, k=k), sidecar

@@ -10,7 +10,9 @@ Subcommands:
 Configuration comes from built-in defaults, then an optional named
 preset, then an optional JSON config file, then explicit flags, in that
 order. Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numerical breakdown. ANCHORCLUST_WORKERS sets the sweep worker pool.
+4 numerical breakdown. A sweep loads the dataset once and builds anchor
+graphs once per m; its (beta, gamma) cells share them. ANCHORCLUST_WORKERS
+sets the worker pool that solves the cells.
 """
 
 from __future__ import annotations
@@ -193,29 +195,20 @@ def _resolve_solver_params(cfg: RunConfig, ds) -> tuple[int, int, int]:
     return c, m, k
 
 
-def _load_or_build_graphs(cfg: RunConfig, ds, m: int, k: int):
-    cache_dir = Path(cfg.output_dir) / "graphs"
-    if cfg.cache_graphs and (cache_dir / anchors_mod.GRAPH_META_FILE).is_file():
-        gs, sidecar = anchors_mod.load_graph_set(cache_dir)
-        if (
-            sidecar.get("m") == m
-            and sidecar.get("k") == k
-            and sidecar.get("seed") == cfg.seed
-            and gs.n == ds.n
-            and gs.num_views == ds.num_views
-        ):
-            return gs, 0.0, True
-    t0 = time.perf_counter()
-    anchor_set = anchors_mod.select_anchors(ds, m, seed=cfg.seed)
-    gs = anchors_mod.build_all(ds, anchor_set, k)
-    build_seconds = time.perf_counter() - t0
-    if cfg.cache_graphs:
-        anchors_mod.save_graph_set(gs, cache_dir, seed=cfg.seed)
-    return gs, build_seconds, False
+@dataclass
+class GraphBuild:
+    """Anchor graphs of one (dataset, m) and what a solve needs besides."""
+
+    graphs: anchors_mod.AnchorGraphSet
+    labels: np.ndarray | None
+    c: int
+    k: int
+    seconds: float
+    cached: bool
 
 
-def run_fit(cfg: RunConfig) -> dict:
-    """Full pipeline for one configuration; returns the results record."""
+def load_data(cfg: RunConfig):
+    """Load the dataset, z-score it under --normalize, check --single-view."""
     ds = dataset_mod.load_dataset(cfg.dataset)
     if cfg.normalize:
         ds = dataset_mod.zscore(ds)
@@ -223,11 +216,38 @@ def run_fit(cfg: RunConfig) -> dict:
         raise MalformedConfig(
             f"--single-view needs a 1-view dataset, got {ds.num_views} views"
         )
-    c, m, k = _resolve_solver_params(cfg, ds)
-    graphs, build_seconds, cached = _load_or_build_graphs(cfg, ds, m, k)
+    return ds
 
+
+def build_graphs(cfg: RunConfig, ds, cache_dir: Path) -> GraphBuild:
+    """Anchor graphs for cfg.m. Under --cache-graphs they are reused from
+    cache_dir only when m, k, seed and the dataset digest all match."""
+    c, m, k = _resolve_solver_params(cfg, ds)
+    key = None
+    if cfg.cache_graphs:
+        digest = anchors_mod.dataset_digest(ds, cfg.normalize)
+        key = {"m": m, "k": k, "seed": cfg.seed, "digest": digest}
+        if (cache_dir / anchors_mod.GRAPH_META_FILE).is_file():
+            gs, sidecar = anchors_mod.load_graph_set(cache_dir)
+            if (
+                sidecar == key
+                and (gs.n, gs.m, gs.num_views) == (ds.n, m, ds.num_views)
+            ):
+                return GraphBuild(gs, ds.labels, c, k, 0.0, True)
+    t0 = time.perf_counter()
+    anchor_set = anchors_mod.select_anchors(ds, m, seed=cfg.seed)
+    gs = anchors_mod.build_all(ds, anchor_set, k)
+    seconds = time.perf_counter() - t0
+    if key is not None:
+        anchors_mod.save_graph_set(gs, cache_dir, seed=cfg.seed, digest=key["digest"])
+    return GraphBuild(gs, ds.labels, c, k, seconds, False)
+
+
+def solve_and_write(cfg: RunConfig, build: GraphBuild) -> dict:
+    """Solve on prebuilt graphs, write the run's outputs, return the record."""
+    graphs = build.graphs
     sconfig = solver.SolverConfig(
-        c=c,
+        c=build.c,
         beta=cfg.beta,
         gamma=cfg.gamma,
         max_iters=cfg.max_iters,
@@ -254,8 +274,8 @@ def run_fit(cfg: RunConfig) -> dict:
         dataset_mod.write_matrix_csv(result.state.Z, out / "consensus_graph.csv")
 
     scores = None
-    if ds.labels is not None:
-        scores = metrics.evaluate_all(result.labels, ds.labels)
+    if build.labels is not None:
+        scores = metrics.evaluate_all(result.labels, build.labels)
 
     record = {
         "labels_file": "labels.txt",
@@ -264,13 +284,13 @@ def run_fit(cfg: RunConfig) -> dict:
         "iterations": result.state.iters_run,
         "converged": result.converged,
         "elapsed_seconds": result.elapsed,
-        "build_seconds": build_seconds,
-        "graphs_cached": cached,
-        "n": ds.n,
-        "num_views": ds.num_views,
-        "c": c,
-        "m": m,
-        "k": k,
+        "build_seconds": build.seconds,
+        "graphs_cached": build.cached,
+        "n": graphs.n,
+        "num_views": graphs.num_views,
+        "c": build.c,
+        "m": graphs.m,
+        "k": build.k,
         "beta": cfg.beta,
         "gamma": cfg.gamma,
         "seed": cfg.seed,
@@ -280,6 +300,16 @@ def run_fit(cfg: RunConfig) -> dict:
         json.dumps(record, indent=2) + "\n", encoding="utf-8"
     )
     return record
+
+
+def run_fit(cfg: RunConfig, build: GraphBuild | None = None) -> dict:
+    """Full pipeline for one configuration; returns the results record.
+    Given the prebuilt graphs of a sweep's m, only the solve and the
+    writes run."""
+    if build is None:
+        ds = load_data(cfg)
+        build = build_graphs(cfg, ds, Path(cfg.output_dir) / "graphs")
+    return solve_and_write(cfg, build)
 
 
 def read_results(output_dir) -> dict:
@@ -443,20 +473,43 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
+def _error_text(exc: AnchorClustError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _shared_builds(cfg: RunConfig, m_grid) -> dict:
+    """Load the dataset once and build graphs once per m. Maps each m to
+    its GraphBuild, or to the error that fails all of that m's cells."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            ds = load_data(cfg)
+        except AnchorClustError as exc:
+            return dict.fromkeys(m_grid, exc)
+        builds = {}
+        for m in dict.fromkeys(m_grid):
+            cache_dir = Path(cfg.output_dir) / "graphs" / f"m{m}"
+            try:
+                builds[m] = build_graphs(dataclasses.replace(cfg, m=m), ds, cache_dir)
+            except AnchorClustError as exc:
+                builds[m] = exc
+    return builds
+
+
 def _sweep_cell(job) -> dict:
-    """One grid cell; failures are recorded, never raised."""
-    cfg_map, m, beta, gamma = job
-    cfg = RunConfig(**cfg_map)
-    cfg.m, cfg.beta, cfg.gamma = m, beta, gamma
-    cfg.output_dir = str(Path(cfg.output_dir) / f"cell_m{m}_b{beta}_g{gamma}")
-    row = {"m": m, "beta": beta, "gamma": gamma, "status": "ok", "error": ""}
+    """Solve one grid cell on its m's shared graphs; failures are
+    recorded, never raised."""
+    cfg, build = job
+    row = {"m": cfg.m, "beta": cfg.beta, "gamma": cfg.gamma, "status": "ok",
+           "error": ""}
+    if isinstance(build, AnchorClustError):
+        return {**row, "status": "failed", "error": _error_text(build)}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            record = run_fit(cfg)
+            record = run_fit(cfg, build)
     except AnchorClustError as exc:
-        row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
-        return row
+        return {**row, "status": "failed", "error": _error_text(exc)}
     row.update(
         final_objective=record["final_objective"],
         iterations=record["iterations"],
@@ -469,11 +522,16 @@ def _sweep_cell(job) -> dict:
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
+    builds = _shared_builds(cfg, args.m_grid)
     cells_dir = Path(cfg.output_dir) / "cells"
-    base = dataclasses.asdict(cfg)
-    base["output_dir"] = str(cells_dir)
     jobs = [
-        (base, m, beta, gamma)
+        (
+            dataclasses.replace(
+                cfg, m=m, beta=beta, gamma=gamma,
+                output_dir=str(cells_dir / f"cell_m{m}_b{beta}_g{gamma}"),
+            ),
+            builds[m],
+        )
         for m in args.m_grid
         for beta in args.beta_grid
         for gamma in args.gamma_grid

@@ -16,6 +16,7 @@ from anchorclust.errors import (
     DegenerateRowWarning,
     DegenerateViewWarning,
     InvalidParameter,
+    MalformedMeta,
 )
 
 
@@ -182,6 +183,15 @@ class TestGraphCache:
         assert back.k == 2
         for Sa, Sb in zip(gs.graphs, back.graphs):
             assert np.array_equal(Sa, Sb)
+
+    @pytest.mark.parametrize("meta", ["{not json", '{"n": 30}', "[]"])
+    def test_malformed_meta_raises_typed_error(self, tmp_path, meta):
+        ds = synth_blobs(30, 2, 2, [2, 3], seed=0)
+        gs = build_all(ds, select_anchors(ds, m=4, seed=9), k=2)
+        save_graph_set(gs, tmp_path / "cache", seed=9)
+        (tmp_path / "cache" / "meta.json").write_text(meta)
+        with pytest.raises(MalformedMeta):
+            load_graph_set(tmp_path / "cache")
 
     def test_graph_set_shape_check(self):
         with pytest.raises(Exception):

@@ -1,8 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from anchorclust import anchors as anchors_mod
+from anchorclust import dataset as dataset_mod
 from anchorclust.cli import (
     PRESETS,
     main,
@@ -11,7 +14,13 @@ from anchorclust.cli import (
     read_results,
     read_sweep_report,
 )
-from anchorclust.dataset import save_dataset, synth_blobs, write_matrix_csv
+from anchorclust.dataset import (
+    MultiViewDataset,
+    save_dataset,
+    synth_blobs,
+    write_matrix_csv,
+)
+from anchorclust.errors import DegenerateViewWarning
 
 
 @pytest.fixture()
@@ -123,6 +132,43 @@ class TestFitCommand:
         assert read_results(out)["graphs_cached"] is False
         main(fit_args(blob_dir, out) + ["--cache-graphs"])
         assert read_results(out)["graphs_cached"] is True
+
+    def test_cache_graphs_not_reused_for_other_data(self, blob_dir, tmp_path):
+        # same n and V as blob_dir, different contents
+        other = tmp_path / "other"
+        save_dataset(synth_blobs(60, 3, 2, [4, 5], separation=10, noise=0.1,
+                                 seed=7), other)
+        fresh = tmp_path / "fresh"
+        main(fit_args(other, fresh))
+        out = tmp_path / "run"
+        main(fit_args(blob_dir, out) + ["--cache-graphs"])
+        main(fit_args(other, out) + ["--cache-graphs"])
+        assert read_results(out)["graphs_cached"] is False
+        assert (out / "labels.txt").read_bytes() == (fresh / "labels.txt").read_bytes()
+        main(fit_args(other, out) + ["--cache-graphs"])
+        assert read_results(out)["graphs_cached"] is True
+
+    def test_cache_graphs_not_reused_across_normalize(self, blob_dir, tmp_path):
+        fresh = tmp_path / "fresh"
+        main(fit_args(blob_dir, fresh) + ["--normalize"])
+        out = tmp_path / "run"
+        main(fit_args(blob_dir, out) + ["--cache-graphs"])
+        main(fit_args(blob_dir, out) + ["--cache-graphs", "--normalize"])
+        assert read_results(out)["graphs_cached"] is False
+        assert (out / "convergence.csv").read_bytes() == (
+            fresh / "convergence.csv"
+        ).read_bytes()
+        main(fit_args(blob_dir, out) + ["--cache-graphs"])
+        assert read_results(out)["graphs_cached"] is False
+
+    @pytest.mark.parametrize("meta", ["{not json", '{"n": 60}'])
+    def test_corrupt_graph_cache_exits_3(self, blob_dir, tmp_path, capsys, meta):
+        out = tmp_path / "run"
+        main(fit_args(blob_dir, out) + ["--cache-graphs"])
+        (out / "graphs" / "meta.json").write_text(meta)
+        capsys.readouterr()
+        assert main(fit_args(blob_dir, out) + ["--cache-graphs"]) == 3
+        assert "MalformedMeta" in capsys.readouterr().err
 
     def test_save_graph_flag(self, blob_dir, tmp_path):
         out = tmp_path / "run"
@@ -312,3 +358,97 @@ class TestSweepCommand:
         assert code == 0
         rows = read_sweep_report(out / "sweep.csv")
         assert len(rows) == 2 and all(r["status"] == "ok" for r in rows)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_grid_cells_match_separate_fits(self, blob_dir, tmp_path,
+                                            monkeypatch, workers):
+        monkeypatch.setenv("ANCHORCLUST_WORKERS", workers)
+        flags = ["--c", "3", "--k", "3", "--seed", "0", "--max-iters", "30"]
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(blob_dir), "--output", str(out),
+                     "--m-grid", "8,10", "--beta-grid", "0.2,1.0",
+                     "--gamma-grid", "0.01,0.1"] + flags) == 0
+        rows = read_sweep_report(out / "sweep.csv")
+        assert len(rows) == 8 and all(r["status"] == "ok" for r in rows)
+        timing = {"elapsed_seconds", "build_seconds"}
+        for r in rows:
+            name = f"cell_m{r['m']}_b{r['beta']}_g{r['gamma']}"
+            fit_out = tmp_path / name
+            assert main(fit_args(blob_dir, fit_out, m=r["m"], beta=r["beta"],
+                                 gamma=r["gamma"], max_iters=30)) == 0
+            cell = out / "cells" / name
+            for fname in ("labels.txt", "convergence.csv"):
+                assert (cell / fname).read_bytes() == (fit_out / fname).read_bytes()
+            got, want = read_results(cell), read_results(fit_out)
+            assert {k: v for k, v in got.items() if k not in timing} == {
+                k: v for k, v in want.items() if k not in timing
+            }
+
+    def test_loads_once_and_selects_anchors_once_per_m(self, blob_dir, tmp_path,
+                                                       monkeypatch):
+        calls = {"load": 0, "select": []}
+        load, select = dataset_mod.load_dataset, anchors_mod.select_anchors
+
+        def counting_load(*args, **kwargs):
+            calls["load"] += 1
+            return load(*args, **kwargs)
+
+        def counting_select(ds, m, *args, **kwargs):
+            calls["select"].append(m)
+            return select(ds, m, *args, **kwargs)
+
+        monkeypatch.setattr(dataset_mod, "load_dataset", counting_load)
+        monkeypatch.setattr(anchors_mod, "select_anchors", counting_select)
+        code = main(["sweep", str(blob_dir), "--output", str(tmp_path / "sweep"),
+                     "--m-grid", "8,10", "--beta-grid", "0.2,1.0",
+                     "--gamma-grid", "0.01,0.1", "--c", "3", "--max-iters", "5"])
+        assert code == 0
+        assert calls["load"] == 1
+        assert sorted(calls["select"]) == [8, 10]
+
+    def test_missing_dataset_fails_every_cell(self, tmp_path):
+        out = tmp_path / "sweep"
+        code = main(["sweep", str(tmp_path / "nope"), "--output", str(out),
+                     "--m-grid", "8,10", "--beta-grid", "0.2",
+                     "--gamma-grid", "0.1,1.0", "--c", "3"])
+        assert code == 0
+        rows = read_sweep_report(out / "sweep.csv")
+        assert len(rows) == 4
+        assert all(r["status"] == "failed" for r in rows)
+        assert len({r["error"] for r in rows}) == 1
+        assert rows[0]["error"].startswith("MissingFile: ")
+
+    def test_shared_build_warnings_suppressed(self, tmp_path, capsys):
+        # 4 distinct rows per view, so m=6 anchors cannot be distinct
+        base = synth_blobs(4, 2, 2, [3, 3], seed=3)
+        ds = MultiViewDataset(views=[np.repeat(X, 5, axis=0) for X in base.views],
+                              labels=np.repeat(base.labels, 5))
+        with pytest.warns(DegenerateViewWarning):
+            anchors_mod.select_anchors(ds, 6, seed=0)
+        root = tmp_path / "dup"
+        save_dataset(ds, root)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", str(root), "--output", str(tmp_path / "sweep"),
+                         "--m-grid", "6", "--beta-grid", "0.2",
+                         "--gamma-grid", "0.1", "--c", "2", "--max-iters", "5"])
+        assert code == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+
+    def test_cache_graphs_one_entry_per_m(self, blob_dir, tmp_path):
+        out = tmp_path / "sweep"
+        argv = ["sweep", str(blob_dir), "--output", str(out), "--m-grid", "8,10",
+                "--beta-grid", "0.2,1.0", "--gamma-grid", "0.1", "--c", "3",
+                "--max-iters", "5", "--cache-graphs"]
+        cells = ["cell_m8_b0.2_g0.1", "cell_m8_b1.0_g0.1",
+                 "cell_m10_b0.2_g0.1", "cell_m10_b1.0_g0.1"]
+        assert main(argv) == 0
+        assert sorted(p.name for p in (out / "graphs").iterdir()) == ["m10", "m8"]
+        first = {c: (out / "cells" / c / "labels.txt").read_bytes() for c in cells}
+        assert not any(read_results(out / "cells" / c)["graphs_cached"] for c in cells)
+        assert main(argv) == 0
+        assert all(read_results(out / "cells" / c)["graphs_cached"] for c in cells)
+        assert first == {c: (out / "cells" / c / "labels.txt").read_bytes()
+                         for c in cells}

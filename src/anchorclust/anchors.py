@@ -87,23 +87,23 @@ class AnchorGraphSet:
         return len(self.graphs)
 
 
-def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """All-pairs squared Euclidean distances, clipped at zero."""
-    d2 = (
-        np.sum(X * X, axis=1)[:, None]
-        - 2.0 * (X @ C.T)
-        + np.sum(C * C, axis=1)[None, :]
-    )
+def _sq_dists(X: np.ndarray, C: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
+    """All-pairs squared Euclidean distances, clipped at zero. x2, the
+    squared row norms of X, may be passed in when X is reused."""
+    if x2 is None:
+        x2 = np.sum(X * X, axis=1)
+    d2 = x2[:, None] - 2.0 * (X @ C.T) + np.sum(C * C, axis=1)[None, :]
     return np.maximum(d2, 0.0)
 
 
-def _kmeans_pp_init(X, m, rng):
-    """k-means++ seeding; returns (centers, degenerate_flag)."""
+def _kmeans_pp_init(X, m, rng, x2):
+    """k-means++ seeding; returns (centers, degenerate_flag). x2 holds the
+    squared row norms of X."""
     n = X.shape[0]
     centers = np.empty((m, X.shape[1]))
     idx = int(rng.integers(n))
     centers[0] = X[idx]
-    d2 = _sq_dists(X, centers[0:1])[:, 0]
+    d2 = _sq_dists(X, centers[0:1], x2)[:, 0]
     degenerate = False
     for j in range(1, m):
         total = d2.sum()
@@ -114,7 +114,7 @@ def _kmeans_pp_init(X, m, rng):
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[j] = X[idx]
-        d2 = np.minimum(d2, _sq_dists(X, centers[j : j + 1])[:, 0])
+        d2 = np.minimum(d2, _sq_dists(X, centers[j : j + 1], x2)[:, 0])
     return centers, degenerate
 
 
@@ -127,11 +127,12 @@ def kmeans(X: np.ndarray, m: int, rng, max_iters: int = 100):
     n = X.shape[0]
     if not (1 <= m <= n):
         raise InvalidParameter(f"need 1 <= m <= n, got m={m}, n={n}")
-    centers, degenerate = _kmeans_pp_init(X, m, rng)
+    x2 = np.sum(X * X, axis=1)
+    centers, degenerate = _kmeans_pp_init(X, m, rng, x2)
     assign = None
     iters = 0
     for iters in range(1, max_iters + 1):
-        d2 = _sq_dists(X, centers)
+        d2 = _sq_dists(X, centers, x2)
         new_assign = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(n), new_assign]
         counts = np.bincount(new_assign, minlength=m).astype(np.float64)
@@ -264,17 +265,25 @@ def save_graph_set(
         raise IoError(f"writing graph cache under {root}: {exc}") from None
 
 
-def load_graph_set(root_path) -> tuple[AnchorGraphSet, dict]:
-    """Load a cached graph set; returns (graphs, sidecar dict)."""
-    root = Path(root_path)
-    side_path = root / GRAPH_META_FILE
+def read_graph_sidecar(root_path) -> dict:
+    """The sidecar of a cached graph set (m, k, seed, digest), read
+    without touching the graph files."""
+    side_path = Path(root_path) / GRAPH_META_FILE
     if not side_path.is_file():
         raise MissingFile(f"{side_path}: no such file")
     try:
         sidecar = json.loads(side_path.read_text(encoding="utf-8"))
-        k = int(sidecar["k"])
+        int(sidecar["k"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise MalformedMeta(f"{side_path}: {type(exc).__name__}: {exc}") from None
+    return sidecar
+
+
+def load_graph_set(root_path) -> tuple[AnchorGraphSet, dict]:
+    """Load a cached graph set; returns (graphs, sidecar dict)."""
+    root = Path(root_path)
+    sidecar = read_graph_sidecar(root)
+    k = int(sidecar["k"])
     meta_path = root / "meta.json"
     if not meta_path.is_file():
         raise MissingFile(f"{meta_path}: no such file")

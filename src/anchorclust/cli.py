@@ -227,12 +227,12 @@ def build_graphs(cfg: RunConfig, ds, cache_dir: Path) -> GraphBuild:
     if cfg.cache_graphs:
         digest = anchors_mod.dataset_digest(ds, cfg.normalize)
         key = {"m": m, "k": k, "seed": cfg.seed, "digest": digest}
-        if (cache_dir / anchors_mod.GRAPH_META_FILE).is_file():
-            gs, sidecar = anchors_mod.load_graph_set(cache_dir)
-            if (
-                sidecar == key
-                and (gs.n, gs.m, gs.num_views) == (ds.n, m, ds.num_views)
-            ):
+        if (
+            (cache_dir / anchors_mod.GRAPH_META_FILE).is_file()
+            and anchors_mod.read_graph_sidecar(cache_dir) == key
+        ):
+            gs, _ = anchors_mod.load_graph_set(cache_dir)
+            if (gs.n, gs.m, gs.num_views) == (ds.n, m, ds.num_views):
                 return GraphBuild(gs, ds.labels, c, k, 0.0, True)
     t0 = time.perf_counter()
     anchor_set = anchors_mod.select_anchors(ds, m, seed=cfg.seed)
@@ -496,10 +496,23 @@ def _shared_builds(cfg: RunConfig, m_grid) -> dict:
     return builds
 
 
-def _sweep_cell(job) -> dict:
+# The shared builds of a sweep, set in each pool worker by _init_pool_worker
+# so that the graphs cross to a worker once rather than once per cell.
+_POOL_BUILDS: dict | None = None
+
+
+def _init_pool_worker(builds: dict) -> None:
+    global _POOL_BUILDS
+    _POOL_BUILDS = builds
+
+
+def _pool_cell(cfg: RunConfig) -> dict:
+    return _sweep_cell(cfg, _POOL_BUILDS[cfg.m])
+
+
+def _sweep_cell(cfg: RunConfig, build) -> dict:
     """Solve one grid cell on its m's shared graphs; failures are
     recorded, never raised."""
-    cfg, build = job
     row = {"m": cfg.m, "beta": cfg.beta, "gamma": cfg.gamma, "status": "ok",
            "error": ""}
     if isinstance(build, AnchorClustError):
@@ -525,12 +538,9 @@ def cmd_sweep(args) -> int:
     builds = _shared_builds(cfg, args.m_grid)
     cells_dir = Path(cfg.output_dir) / "cells"
     jobs = [
-        (
-            dataclasses.replace(
-                cfg, m=m, beta=beta, gamma=gamma,
-                output_dir=str(cells_dir / f"cell_m{m}_b{beta}_g{gamma}"),
-            ),
-            builds[m],
+        dataclasses.replace(
+            cfg, m=m, beta=beta, gamma=gamma,
+            output_dir=str(cells_dir / f"cell_m{m}_b{beta}_g{gamma}"),
         )
         for m in args.m_grid
         for beta in args.beta_grid
@@ -538,10 +548,11 @@ def cmd_sweep(args) -> int:
     ]
     workers = int(os.environ.get("ANCHORCLUST_WORKERS", "1"))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, jobs))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker,
+                                 initargs=(builds,)) as pool:
+            rows = list(pool.map(_pool_cell, jobs))
     else:
-        rows = [_sweep_cell(job) for job in jobs]
+        rows = [_sweep_cell(job, builds[job.m]) for job in jobs]
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

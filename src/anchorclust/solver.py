@@ -13,20 +13,42 @@ subproblem, so the objective never increases:
     F      max(Z G, 0)                          (separable clamp)
     G      U V^T from the SVD of Z^T F          (orthogonal Procrustes)
     Z      soft-threshold the singular values of
-           (sum_v alpha_v S_v + gamma F G^T) / (1 + gamma)
-           at beta / (2 (1 + gamma))            (nuclear-norm prox)
+           M = (sum_v alpha_v S_v + gamma F G^T) / (1 + gamma)
+           at tau = beta / (2 (1 + gamma))      (nuclear-norm prox)
     alpha  projected gradient on a V-dim simplex QP
 
 Hard labels are the row-argmax of F.
+
+fit never forms Z. The thresholding goes through the m x m Gram matrix
+M^T M, so a Z step yields Z = M P with P = V diag((sigma - tau)/sigma) V^T
+(m x m), and FactoredZ keeps Z as (alpha, F, G, P). Every quantity a
+cycle needs reduces to products of the sparse graphs (k nonzeros per row)
+with n x c blocks, or to m x m algebra on the cross-Grams
+C_uv = S_u^T S_v, which GraphBundle computes once per fit:
+
+    Z G, Z^T F           sparse S_v times an m x c or n x c block
+    M^T M, S_v^T M       from C_uv, S_v^T F, F^T F and G
+    <S_v, Z>             tr(S_v^T M P)
+    ||Z||_*              sum (sigma - tau)
+    fit, factor terms    the norms expanded around M, with
+                         ||Z - M||^2 = sum min(sigma, tau)^2 and
+                         ||F G^T||^2 = tr(F^T F G^T G), exact also for c > m
+
+so a cycle costs O(n k V c + n c^2 + V^2 m^2 + V m^2 c + m^3), linear in
+n, and holds no n x m array. SolverState.Z builds the dense Z only when
+it is read (--save-graph, objective(), tests). The dense
+update_F/G/Z/alpha, svt and objective() stay the reference evaluators
+that the tests compare fit against.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .anchors import AnchorGraphSet
 from .errors import (
@@ -69,14 +91,27 @@ class SolverConfig:
             raise InvalidParameter("qp_max_iters must be >= 1 and qp_tol > 0")
 
 
-@dataclass
 class SolverState:
-    Z: np.ndarray
-    F: np.ndarray
-    G: np.ndarray
-    alpha: np.ndarray
-    objective_history: list[float] = field(default_factory=list)
-    iters_run: int = 0
+    """Solver iterates. Z may be held as a FactoredZ; reading state.Z then
+    builds the dense n x m matrix (O(n m^2)) once and keeps it."""
+
+    def __init__(self, Z, F, G, alpha, objective_history=None, iters_run=0):
+        self.Z = Z
+        self.F = F
+        self.G = G
+        self.alpha = alpha
+        self.objective_history = [] if objective_history is None else objective_history
+        self.iters_run = iters_run
+
+    @property
+    def Z(self) -> np.ndarray:
+        if isinstance(self._Z, FactoredZ):
+            self._Z = self._Z.dense()
+        return self._Z
+
+    @Z.setter
+    def Z(self, value) -> None:
+        self._Z = value
 
 
 @dataclass(frozen=True)
@@ -95,6 +130,150 @@ def mix_graphs(graphs: list[np.ndarray], alpha: np.ndarray) -> np.ndarray:
     return Z
 
 
+class GraphBundle:
+    """The V graphs as one sparse n x Vm block row H = [S_1 ... S_V], its
+    transpose, and the constant cross-Grams: C[v, u] = S_v^T S_u (m x m)
+    and Q_vu = <S_v, S_u>_F = tr(C[v, u]). Built once per fit."""
+
+    def __init__(self, graphs: list):
+        self.graphs = list(graphs)
+        self.V, self.m = len(self.graphs), self.graphs[0].shape[1]
+        self.H = sp.hstack([sp.csr_array(S) for S in self.graphs], format="csr")
+        self.Ht = self.H.T.tocsr()
+        V, m = self.V, self.m
+        C = (self.Ht @ self.H).toarray().reshape(V, m, V, m)
+        self.C = np.ascontiguousarray(C.transpose(0, 2, 1, 3))
+        self.Q = np.einsum("vuii->vu", self.C)
+
+    def mix_times(self, alpha: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """(sum_v alpha_v S_v) X for an m x c block X."""
+        return self.H @ (alpha[:, None, None] * X).reshape(-1, X.shape[1])
+
+    def each_t_times(self, Y: np.ndarray) -> np.ndarray:
+        """The V products S_v^T Y of an n x c block Y, as a V x m x c array."""
+        return (self.Ht @ Y).reshape(self.V, self.m, Y.shape[1])
+
+    def dense_graphs(self) -> list[np.ndarray]:
+        return [S.toarray() if sp.issparse(S) else np.asarray(S) for S in self.graphs]
+
+
+def _gram_svd(gram: np.ndarray):
+    """Right singular vectors and singular values of a matrix whose Gram
+    matrix is `gram`, by its eigendecomposition."""
+    lam, V = np.linalg.eigh(gram)
+    return V, np.sqrt(np.clip(lam, 0.0, None))
+
+
+class FactoredZ:
+    """Z = M P without the n x m matrix, for M = (S_a + gamma F G^T) /
+    (1 + gamma), S_a = sum_v a_v S_v, and P the m x m factor of the
+    singular value thresholding of M at tau (tau = 0: P = I and Z = M).
+
+    Supports Z @ X and Z.T @ Y for thin dense blocks, which is all
+    update_F and update_G ask of Z. It also carries the pieces that
+    update_alpha and _objective need. They are written in terms of the
+    SVT residual Z - M = M (P - I) and of D = F G^T - S_a, for which
+    M = S_a + kappa D with kappa = gamma / (1 + gamma):
+
+        view_inner[v] = <S_v, Z>
+        res_sq        = ||Z - M||^2 = sum_i min(sigma_i, tau)^2
+        res_D         = <Z - M, D>,    res_views[v] = <S_v, Z - M>
+        D_sq          = ||D||^2,       D_views[v]   = <S_v, D>
+
+    Expanding around M rather than around 0 keeps the objective accurate
+    when it is small next to ||Z||^2 (small beta and gamma).
+    """
+
+    def __init__(self, bundle: GraphBundle, alpha, F, G, gamma: float, tau: float):
+        self.bundle, self.alpha, self.F, self.G = bundle, alpha, F, G
+        self.gamma, self.tau = gamma, tau
+        Q = bundle.Q
+        B = bundle.each_t_times(F)                        # S_v^T F
+        FtF = F.T @ F
+        SvtM = np.einsum("vuij,u->vij", bundle.C, alpha)  # S_v^T M, gamma = 0
+        MtF = np.tensordot(alpha, B, axes=1)              # M^T F, gamma = 0
+        if gamma != 0.0:
+            SvtM = (SvtM + gamma * (B @ G.T)) / (1.0 + gamma)
+            MtF = (MtF + gamma * (G @ FtF)) / (1.0 + gamma)
+        # M^T M = M^T (S_a + gamma F G^T) / (1 + gamma)
+        gram = np.tensordot(alpha, SvtM, axes=1).T
+        if gamma != 0.0:
+            gram = (gram + gamma * (MtF @ G.T)) / (1.0 + gamma)
+        self.gram = gram
+        GtB = np.einsum("vic,ic->v", B, G)                # <S_v, F G^T>
+        self.D_views = GtB - Q @ alpha
+        self.D_sq = float(np.sum(FtF * (G.T @ G)) - alpha @ GtB - alpha @ self.D_views)
+        self.view_inner = np.einsum("vii->v", SvtM)      # <S_v, M>
+        if tau == 0.0:
+            self.P = None
+            self.res_sq = self.res_D = 0.0
+            self.res_views = np.zeros_like(alpha)
+            return
+        V, sigma = _gram_svd(gram)
+        keep = sigma > tau
+        self.Vk, self.sigma = V[:, keep], sigma[keep]
+        self.P = (self.Vk * ((self.sigma - tau) / self.sigma)) @ self.Vk.T
+        w = tau / np.maximum(sigma, tau)                 # P - I = -V diag(w) V^T
+        Pm = -(V * w) @ V.T
+        self.res_sq = float(np.sum((w * sigma) ** 2))
+        # <M (P - I), D> = tr((P - I) M^T D), M^T D = (1 + gamma) (M^T F G^T - M^T M)
+        self.res_D = (1.0 + gamma) * float(np.sum(G * (Pm @ MtF)) + np.sum(w * sigma**2))
+        self.res_views = np.einsum("vij,ij->v", SvtM, Pm)
+        self.view_inner = self.view_inner + self.res_views
+
+    def nuclear_norm(self) -> float:
+        if self.P is not None:
+            return float(np.sum(self.sigma - self.tau))
+        # tau = 0: the sum of all singular values of M. From the Gram,
+        # sigma_i is off by about eps sigma_max^2 / sigma_i, so the few
+        # directions with sigma_i < 1e-3 sigma_max are resolved again from
+        # a thin QR of M V_small (n x few).
+        V, sigma = _gram_svd(self.gram)
+        small = sigma < 1e-3 * sigma[-1]
+        if small.any():
+            R = np.linalg.qr(self @ V[:, small], mode="r")
+            sigma = np.concatenate([sigma[~small], np.linalg.svd(R, compute_uv=False)])
+        return float(sigma.sum())
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        if self.P is not None:
+            X = self.P @ X
+        out = self.bundle.mix_times(self.alpha, X)
+        if self.gamma != 0.0:
+            out = (out + self.gamma * (self.F @ (self.G.T @ X))) / (1.0 + self.gamma)
+        return out
+
+    @property
+    def T(self) -> "_FactoredZT":
+        return _FactoredZT(self)
+
+    def dense(self) -> np.ndarray:
+        """The n x m matrix, by the arithmetic of update_Z and svt."""
+        M = mix_graphs(self.bundle.dense_graphs(), self.alpha)
+        if self.gamma != 0.0:
+            M = (M + self.gamma * (self.F @ self.G.T)) / (1.0 + self.gamma)
+        if self.P is None:
+            return M
+        if not self.sigma.size:
+            return np.zeros_like(M)
+        U = (M @ self.Vk) / self.sigma
+        return (U * (self.sigma - self.tau)) @ self.Vk.T
+
+
+class _FactoredZT:
+    """Transpose of a FactoredZ, for Z.T @ Y."""
+
+    def __init__(self, Z: FactoredZ):
+        self.Z = Z
+
+    def __matmul__(self, Y: np.ndarray) -> np.ndarray:
+        Z = self.Z
+        MtY = np.tensordot(Z.alpha, Z.bundle.each_t_times(Y), axes=1)
+        if Z.gamma != 0.0:
+            MtY = (MtY + Z.gamma * (Z.G @ (Z.F.T @ Y))) / (1.0 + Z.gamma)
+        return MtY if Z.P is None else Z.P @ MtY
+
+
 def init_state(graphs: AnchorGraphSet, config: SolverConfig) -> SolverState:
     """Even view weights, Z as their mixture, random F >= 0, random orthonormal G."""
     V, n, m = graphs.num_views, graphs.n, graphs.m
@@ -105,7 +284,6 @@ def init_state(graphs: AnchorGraphSet, config: SolverConfig) -> SolverState:
             stacklevel=2,
         )
     alpha = np.full(V, 1.0 / V)
-    Z = mix_graphs(graphs.graphs, alpha)
     rng = np.random.default_rng(config.seed)
     F = np.abs(rng.standard_normal((n, config.c)))
     Q, _ = np.linalg.qr(rng.standard_normal((m, min(config.c, m))))
@@ -114,16 +292,19 @@ def init_state(graphs: AnchorGraphSet, config: SolverConfig) -> SolverState:
         G[:, :m] = Q
     else:
         G = Q
+    Z = FactoredZ(GraphBundle(graphs.graphs), alpha, F, G, gamma=0.0, tau=0.0)
     return SolverState(Z=Z, F=F, G=G, alpha=alpha)
 
 
-def update_F(Z: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Exact non-negative minimizer of ||Z - F G^T||_F^2 for orthonormal G."""
+def update_F(Z, G: np.ndarray) -> np.ndarray:
+    """Exact non-negative minimizer of ||Z - F G^T||_F^2 for orthonormal G.
+    Z is a dense array or a FactoredZ."""
     return np.maximum(Z @ G, 0.0)
 
 
-def update_G(Z: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Orthogonal Procrustes: maximize Tr(G^T W) with W = Z^T F."""
+def update_G(Z, F: np.ndarray) -> np.ndarray:
+    """Orthogonal Procrustes: maximize Tr(G^T W) with W = Z^T F. Z is a
+    dense array or a FactoredZ."""
     W = Z.T @ F
     U, s, Vt = np.linalg.svd(W, full_matrices=False)
     if s.size and s[-1] < 1e-12:
@@ -150,8 +331,7 @@ def svt(M: np.ndarray, tau: float) -> np.ndarray:
         return M.copy()
     transposed = M.shape[0] < M.shape[1]
     A = M.T if transposed else M
-    lam, V = np.linalg.eigh(A.T @ A)
-    sigma = np.sqrt(np.clip(lam, 0.0, None))
+    V, sigma = _gram_svd(A.T @ A)
     keep = sigma > tau
     if not keep.any():
         return np.zeros_like(M)
@@ -162,19 +342,17 @@ def svt(M: np.ndarray, tau: float) -> np.ndarray:
     return Z.T if transposed else Z
 
 
-def update_Z(
-    graphs: list[np.ndarray],
-    alpha: np.ndarray,
-    F: np.ndarray,
-    G: np.ndarray,
-    beta: float,
-    gamma: float,
-) -> np.ndarray:
-    """Exact Z-block minimizer: SVT of the blended target."""
+def update_Z(graphs, alpha: np.ndarray, F: np.ndarray, G: np.ndarray,
+             beta: float, gamma: float):
+    """Exact Z-block minimizer: SVT of the blended target. Given a list of
+    dense graphs it returns the dense Z; given a GraphBundle, a FactoredZ."""
+    tau = beta / (2.0 * (1.0 + gamma))
+    if isinstance(graphs, GraphBundle):
+        return FactoredZ(graphs, alpha, F, G, gamma, tau)
     M = mix_graphs(graphs, alpha)
     if gamma != 0.0:
         M = (M + gamma * (F @ G.T)) / (1.0 + gamma)
-    return svt(M, beta / (2.0 * (1.0 + gamma)))
+    return svt(M, tau)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -187,25 +365,32 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def update_alpha(
-    graphs: list[np.ndarray],
-    Z: np.ndarray,
-    qp_max_iters: int = 1000,
-    qp_tol: float = 1e-10,
-) -> np.ndarray:
+def update_alpha(graphs, Z, qp_max_iters: int = 1000, qp_tol: float = 1e-10) -> np.ndarray:
     """View weights minimizing ||Z - sum_v alpha_v S_v||_F^2 on the simplex.
 
     Expanding the norm gives the QP  alpha^T Q alpha - alpha^T q  with
-    Q_uv = <S_u, S_v>_F and q_v = 2 <S_v, Z>_F, solved by projected
-    gradient descent with step 1/L, L = 2 lambda_max(Q), started from the
-    uniform weights (so symmetric ties resolve to the uniform point).
+    Q_uv = <S_u, S_v>_F and q_v = 2 <S_v, Z>_F. Given dense graphs and Z
+    both are formed here; given a GraphBundle and a FactoredZ they are
+    read off the precomputed cross-Grams and Z's factors.
     """
-    V = len(graphs)
-    if V == 1:
-        return np.ones(1)
-    flat = np.stack([S.ravel() for S in graphs])
-    Q = flat @ flat.T
-    q = 2.0 * (flat @ Z.ravel())
+    if isinstance(graphs, GraphBundle):
+        if graphs.V == 1:
+            return np.ones(1)
+        Q, q = graphs.Q, 2.0 * Z.view_inner
+    else:
+        if len(graphs) == 1:
+            return np.ones(1)
+        flat = np.stack([S.ravel() for S in graphs])
+        Q = flat @ flat.T
+        q = 2.0 * (flat @ Z.ravel())
+    return _simplex_qp(Q, q, qp_max_iters, qp_tol)
+
+
+def _simplex_qp(Q: np.ndarray, q: np.ndarray, qp_max_iters: int, qp_tol: float) -> np.ndarray:
+    """min a^T Q a - a^T q on the simplex by projected gradient descent with
+    step 1/L, L = 2 lambda_max(Q), started from the uniform weights (so
+    symmetric ties resolve to the uniform point)."""
+    V = q.size
     L = 2.0 * max(float(np.linalg.eigvalsh(Q)[-1]), np.finfo(float).tiny)
 
     def value(a):
@@ -226,7 +411,7 @@ def update_alpha(
         f"view-weight QP did not reach tol={qp_tol} in {qp_max_iters} "
         "iterations; returning the best iterate",
         QpNotConvergedWarning,
-        stacklevel=2,
+        stacklevel=3,
     )
     return best
 
@@ -236,16 +421,28 @@ def nuclear_norm(Z: np.ndarray) -> float:
 
 
 def objective(state: SolverState, graphs: AnchorGraphSet, config: SolverConfig) -> float:
-    """Value of the full objective at the given state."""
-    return _objective(
-        state.Z, state.F, state.G, state.alpha, graphs.graphs, config.beta, config.gamma
-    )
-
-
-def _objective(Z, F, G, alpha, graphs, beta, gamma):
-    fit_term = float(np.sum((Z - mix_graphs(graphs, alpha)) ** 2))
+    """Value of the full objective at the given state, from the dense Z."""
+    Z, F, G = state.Z, state.F, state.G
+    fit_term = float(np.sum((Z - mix_graphs(graphs.graphs, state.alpha)) ** 2))
     factor_term = float(np.sum((Z - F @ G.T) ** 2))
-    return fit_term + beta * nuclear_norm(Z) + gamma * factor_term
+    return fit_term + config.beta * nuclear_norm(Z) + config.gamma * factor_term
+
+
+def _objective(Z: FactoredZ, alpha: np.ndarray, beta: float, gamma: float) -> float:
+    """objective() at a FactoredZ, its own F and G, and weights alpha.
+    With d = Z.alpha - alpha and k = Z's kappa,
+
+        Z - S_alpha = (Z - M) + k D + S_d
+        Z - F G^T   = (Z - M) - (1 - k) D
+    """
+    Q = Z.bundle.Q
+    k = Z.gamma / (1.0 + Z.gamma)
+    d = Z.alpha - alpha
+    fit_term = (Z.res_sq + k * k * Z.D_sq + float(d @ Q @ d) + 2.0 * k * Z.res_D
+                + 2.0 * float(d @ Z.res_views) + 2.0 * k * float(d @ Z.D_views))
+    factor_term = Z.res_sq + (1.0 - k) ** 2 * Z.D_sq - 2.0 * (1.0 - k) * Z.res_D
+    nuclear = Z.nuclear_norm() if beta != 0.0 else 0.0
+    return fit_term + beta * nuclear + gamma * factor_term
 
 
 def labels_from_F(F: np.ndarray) -> np.ndarray:
@@ -264,11 +461,12 @@ def _fit_loop(
 ) -> ClusteringResult:
     t0 = time.perf_counter()
     state = init_state(graphs, config)
-    S_list = graphs.graphs
+    Z = state._Z
+    bundle = Z.bundle
     beta, gamma = config.beta, config.gamma
 
     try:
-        prev = _objective(state.Z, state.F, state.G, state.alpha, S_list, beta, gamma)
+        prev = _objective(Z, state.alpha, beta, gamma)
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown(f"objective failed at initialization: {exc}") from None
     if not np.isfinite(prev):
@@ -277,18 +475,19 @@ def _fit_loop(
     converged = False
     for cycle in range(1, config.max_iters + 1):
         try:
-            state.F = update_F(state.Z, state.G)
-            state.G = update_G(state.Z, state.F)
-            state.Z = update_Z(S_list, state.alpha, state.F, state.G, beta, gamma)
+            state.F = update_F(Z, state.G)
+            state.G = update_G(Z, state.F)
+            Z = update_Z(bundle, state.alpha, state.F, state.G, beta, gamma)
+            state.Z = Z
             if with_alpha and graphs.num_views > 1:
                 state.alpha = update_alpha(
-                    S_list, state.Z, config.qp_max_iters, config.qp_tol
+                    bundle, Z, config.qp_max_iters, config.qp_tol
                 )
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown(
                 f"linear algebra failed at cycle {cycle}: {exc}"
             ) from None
-        obj = _objective(state.Z, state.F, state.G, state.alpha, S_list, beta, gamma)
+        obj = _objective(Z, state.alpha, beta, gamma)
         state.objective_history.append(obj)
         state.iters_run = cycle
         if not np.isfinite(obj):

@@ -10,6 +10,14 @@ import itertools
 import numpy as np
 
 from anchorclust.anchors import AnchorGraphSet
+from anchorclust.solver import (
+    SolverState,
+    objective,
+    update_alpha,
+    update_F,
+    update_G,
+    update_Z,
+)
 
 
 def random_orthonormal(m, c, seed):
@@ -117,3 +125,33 @@ def naive_reconstruction(S):
                 if D[j] > 0:
                     B[i, l] += S[i, j] * S[l, j] / D[j]
     return B
+
+
+def dense_reference_fit(graphs, config, with_alpha=True):
+    """fit's cycle replayed on dense n x m matrices with the public block
+    updates (update_F/G/Z/alpha) and objective(), from fit's initial draw.
+    Returns (objective history, labels, final state)."""
+    S_list = [np.asarray(S, dtype=np.float64) for S in graphs.graphs]
+    V, (n, m), c = len(S_list), S_list[0].shape, config.c
+    alpha = np.full(V, 1.0 / V)
+    rng = np.random.default_rng(config.seed)
+    F = np.abs(rng.standard_normal((n, c)))
+    basis, _ = np.linalg.qr(rng.standard_normal((m, min(c, m))))
+    G = np.zeros((m, c))
+    G[:, : basis.shape[1]] = basis
+    Z = sum(a * S for a, S in zip(alpha, S_list))
+    dense = AnchorGraphSet(graphs=S_list, k=graphs.k)
+    state = SolverState(Z=Z, F=F, G=G, alpha=alpha)
+    history = [objective(state, dense, config)]
+    for _ in range(config.max_iters):
+        state.F = update_F(state.Z, state.G)
+        state.G = update_G(state.Z, state.F)
+        state.Z = update_Z(S_list, state.alpha, state.F, state.G,
+                           config.beta, config.gamma)
+        if with_alpha and V > 1:
+            state.alpha = update_alpha(S_list, state.Z, config.qp_max_iters,
+                                       config.qp_tol)
+        history.append(objective(state, dense, config))
+        if abs(history[-1] - history[-2]) / max(history[-2], 1e-12) < config.rel_tol:
+            break
+    return history, np.argmax(state.F, axis=1), state

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,16 @@ class TestSelectAnchors:
         ds = MultiViewDataset(views=[X])
         with pytest.warns(DegenerateViewWarning):
             select_anchors(ds, m=5, seed=0)
+
+    def test_anchors_pinned_bitwise(self):
+        # digest of the anchors computed before k-means cached the row norms
+        ds = synth_blobs(n=400, c=4, V=2, dims=[6, 9], noise=1.5, seed=11)
+        a = select_anchors(ds, m=12, seed=5, max_iters=25)
+        h = hashlib.blake2b(digest_size=16)
+        for C in a.anchors:
+            h.update(np.ascontiguousarray(C).tobytes())
+        assert (h.hexdigest(), a.kmeans_iters_used) == (
+            "c3256dafce4553763908e84f088555a3", 19)
 
     def test_deterministic(self):
         ds = synth_blobs(60, 3, 2, [3, 4], seed=11)

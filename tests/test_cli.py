@@ -1,10 +1,12 @@
 import json
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
 from anchorclust import anchors as anchors_mod
+from anchorclust import cli
 from anchorclust import dataset as dataset_mod
 from anchorclust.cli import (
     PRESETS,
@@ -160,6 +162,28 @@ class TestFitCommand:
         ).read_bytes()
         main(fit_args(blob_dir, out) + ["--cache-graphs"])
         assert read_results(out)["graphs_cached"] is False
+
+    def test_stale_cache_miss_reads_no_graph_csv(self, blob_dir, tmp_path,
+                                                 monkeypatch):
+        reads = []
+        read = anchors_mod.read_matrix_csv
+
+        def counting_read(path, *args, **kwargs):
+            reads.append(path)
+            return read(path, *args, **kwargs)
+
+        monkeypatch.setattr(anchors_mod, "read_matrix_csv", counting_read)
+        other = tmp_path / "other"
+        save_dataset(synth_blobs(60, 3, 2, [4, 5], separation=10, noise=0.1,
+                                 seed=7), other)
+        out = tmp_path / "run"
+        main(fit_args(blob_dir, out) + ["--cache-graphs"])
+        main(fit_args(other, out) + ["--cache-graphs"])
+        assert read_results(out)["graphs_cached"] is False
+        assert reads == []
+        main(fit_args(other, out) + ["--cache-graphs"])
+        assert read_results(out)["graphs_cached"] is True
+        assert len(reads) == 2
 
     @pytest.mark.parametrize("meta", ["{not json", '{"n": 60}'])
     def test_corrupt_graph_cache_exits_3(self, blob_dir, tmp_path, capsys, meta):
@@ -358,6 +382,41 @@ class TestSweepCommand:
         assert code == 0
         rows = read_sweep_report(out / "sweep.csv")
         assert len(rows) == 2 and all(r["status"] == "ok" for r in rows)
+
+    def test_pool_job_size_does_not_grow_with_n(self, tmp_path, monkeypatch):
+        class InlinePool:
+            """Runs the pool's initializer and jobs in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                sizes.append(max(len(pickle.dumps(job)) for job in jobs))
+                return map(fn, jobs)
+
+        sizes = []
+        monkeypatch.setenv("ANCHORCLUST_WORKERS", "2")
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_POOL_BUILDS", None)
+        for n in (60, 2000):
+            root = tmp_path / f"data{n:05d}"
+            save_dataset(synth_blobs(n, 3, 2, [4, 5], seed=0), root)
+            out = tmp_path / f"out{n:05d}"
+            assert main(["sweep", str(root), "--output", str(out),
+                         "--m-grid", "8,10", "--beta-grid", "0.2",
+                         "--gamma-grid", "0.1", "--c", "3", "--max-iters", "5"]) == 0
+            rows = read_sweep_report(out / "sweep.csv")
+            assert len(rows) == 2 and all(r["status"] == "ok" for r in rows)
+        # a job is one cell's config; the graphs (n x m per view) reach
+        # each worker once, through the pool initializer
+        assert sizes[0] == sizes[1] < 2000
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_grid_cells_match_separate_fits(self, blob_dir, tmp_path,

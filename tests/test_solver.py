@@ -1,19 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     alpha_grid_search,
+    dense_reference_fit,
     kkt_residual,
     random_graph_set,
     random_orthonormal,
+    random_stochastic,
 )
 
 from anchorclust.anchors import AnchorGraphSet, build_all, select_anchors
 from anchorclust.dataset import synth_blobs
 from anchorclust.errors import InvalidParameter, NumericalBreakdown
 from anchorclust.metrics import accuracy
+from anchorclust.single_view import fit_single
 from anchorclust.solver import (
+    GraphBundle,
     SolverConfig,
     fit,
     init_state,
@@ -427,3 +434,140 @@ class TestSolverConfig:
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParameter):
             SolverConfig(**kwargs)
+
+
+def blob_graphs(n=600, c=5, dims=(10, 10), m=25, k=5, seed=0, **blob_kwargs):
+    ds = synth_blobs(n=n, c=c, V=len(dims), dims=list(dims), seed=seed, **blob_kwargs)
+    return build_all(ds, select_anchors(ds, m=m, seed=seed), k=k)
+
+
+def assert_matches_dense_reference(result, graphs, cfg, with_alpha=True):
+    """fit keeps Z factored; its run must track the dense reference loop."""
+    history, labels, ref = dense_reference_fit(graphs, cfg, with_alpha)
+    got = np.asarray(result.state.objective_history)
+    assert got.shape == (len(history),)
+    rel = np.abs(got - history) / np.maximum(np.abs(history), 1e-300)
+    assert rel.max() <= 1e-12
+    assert np.array_equal(result.labels, labels)
+    assert np.max(np.abs(result.state.alpha - ref.alpha)) <= 1e-12
+
+
+class CsrOnlyGraph(sp.csr_array):
+    """A CSR anchor graph that refuses to be densified."""
+
+    def toarray(self, *args, **kwargs):
+        raise AssertionError("the solver densified an n x m anchor graph")
+
+    todense = toarray
+
+
+class TestFactoredFit:
+    """fit against the dense reference loop built from update_F/G/Z/alpha
+    and objective()."""
+
+    def test_acceptance_blob_runs(self):
+        # criteria 3 and 4 of the acceptance suite
+        ds = synth_blobs(n=1000, c=5, V=2, dims=[10, 10], seed=0)
+        gs = build_all(ds, select_anchors(ds, m=25, seed=0), k=5)
+        cfg = SolverConfig(c=5, rel_tol=1e-6, max_iters=200, seed=0)
+        assert_matches_dense_reference(fit(gs, cfg), gs, cfg)
+        ds = synth_blobs(n=300, c=3, V=2, dims=[5, 8], separation=10, noise=0.1, seed=0)
+        gs = build_all(ds, select_anchors(ds, m=10, seed=0), k=3)
+        cfg = SolverConfig(c=3, beta=0.2, gamma=0.1, seed=0)
+        assert_matches_dense_reference(fit(gs, cfg), gs, cfg)
+
+    def test_acceptance_random_configs(self):
+        # the first 20 runs of acceptance criterion 1
+        rng = np.random.default_rng(2024)
+        for run in range(20):
+            V = int(rng.integers(2, 4))
+            gs = random_graph_set(40, 6, V, seed=run)
+            cfg = SolverConfig(
+                c=int(rng.integers(2, 5)),
+                beta=float(rng.uniform(0.05, 1.0)),
+                gamma=float(10 ** rng.uniform(-5, 0)),
+                max_iters=8,
+                rel_tol=1e-14,
+                seed=run,
+            )
+            assert_matches_dense_reference(fit(gs, cfg), gs, cfg)
+
+    def test_four_views(self):
+        gs = blob_graphs(n=800, c=6, dims=(8, 8, 8, 8), m=40, seed=3, noise=2.0)
+        cfg = SolverConfig(c=6, seed=3)
+        assert_matches_dense_reference(fit(gs, cfg), gs, cfg)
+
+    @pytest.mark.parametrize("beta,gamma", [(0.0, 0.1), (0.3, 0.0), (0.0, 0.0)])
+    def test_no_threshold_or_no_factor_term(self, beta, gamma):
+        # beta = 0 gives tau = 0, so Z = M with no thresholding
+        gs = blob_graphs(seed=1)
+        cfg = SolverConfig(c=5, beta=beta, gamma=gamma, seed=1)
+        assert_matches_dense_reference(fit(gs, cfg), gs, cfg)
+
+    def test_more_clusters_than_anchors(self):
+        gs = random_graph_set(40, 6, 2, seed=5)
+        cfg = SolverConfig(c=8, max_iters=30, seed=5)
+        with pytest.warns(UserWarning, match="exceeds the anchor count"):
+            result = fit(gs, cfg)
+        assert_matches_dense_reference(result, gs, cfg)
+
+    def test_single_view(self):
+        for seed in range(5):
+            S = random_stochastic(30, 6, seed=seed)
+            cfg = SolverConfig(c=3, beta=0.3, gamma=0.1, max_iters=40, seed=seed)
+            graphs = AnchorGraphSet(graphs=[S], k=0)
+            assert_matches_dense_reference(fit_single(S, cfg), graphs, cfg,
+                                           with_alpha=False)
+
+    def test_threshold_cuts_every_singular_value(self):
+        gs = blob_graphs(seed=2)
+        cfg = SolverConfig(c=5, beta=1e3, seed=2)
+        result = fit(gs, cfg)
+        assert_matches_dense_reference(result, gs, cfg)
+        assert not result.state.Z.any()
+        assert not result.state.F.any()
+
+    def test_csr_only_graphs_never_densified(self):
+        # n x m float64 is 16 MB here; the factored loop stays well below
+        gs = blob_graphs(n=20000, dims=(6, 6), m=100, k=3)
+        n, m = gs.n, gs.m
+        csr = AnchorGraphSet(graphs=[CsrOnlyGraph(S) for S in gs.graphs], k=3)
+        cfg = SolverConfig(c=5, max_iters=10)
+        tracemalloc.start()
+        try:
+            got = fit(csr, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * 8
+        want = fit(gs, cfg)
+        assert got.state.objective_history == want.state.objective_history
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.state.alpha, want.state.alpha)
+
+    @pytest.mark.parametrize("tau", [1e-6, 1e-4, 1e-2, 0.3])
+    def test_gram_route_matches_lapack_on_graded_spectra(self, tau):
+        # singular values 1e0 .. 1e-12; the Gram route resolves sigma only
+        # down to about sqrt(eps) sigma_max, so tau stays above 1e-8
+        worst = np.zeros(3)
+        for trial in range(20):
+            rng = np.random.default_rng(trial)
+            n, m = 50, 13
+            U, _ = np.linalg.qr(rng.standard_normal((n, m)))
+            W, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            M = (U * np.logspace(0, -12, m)) @ W.T
+            F = np.abs(rng.standard_normal((n, 3)))
+            G = random_orthonormal(m, 3, seed=trial)
+            Z = update_Z(GraphBundle([M]), np.ones(1), F, G, 2.0 * tau, 0.0)
+            s = np.linalg.svd(M, compute_uv=False)
+            kept = np.maximum(s - tau, 0.0)
+            worst = np.maximum(worst, [
+                abs(Z.nuclear_norm() - kept.sum()) / kept.sum(),
+                abs(np.sum((Z.sigma - tau) ** 2) - np.sum(kept**2)) / np.sum(kept**2),
+                abs(Z.res_sq - np.sum(np.minimum(s, tau) ** 2)) / np.sum(s**2),
+            ])
+        # bounds pinned at the worst errors measured over these trials
+        # (2.5e-11 at tau = 1e-6, 1.4e-15, 4.4e-16)
+        assert worst[0] <= 3e-11  # sum(sigma - tau), relative
+        assert worst[1] <= 2e-15  # sum((sigma - tau)^2), relative
+        assert worst[2] <= 1e-15  # sum(min(sigma, tau)^2), relative to ||M||^2

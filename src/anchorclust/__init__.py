@@ -29,7 +29,6 @@ from .metrics import (
     pairwise_f_precision,
     purity,
 )
-from .single_view import fit_single
 from .solver import (
     ClusteringResult,
     SolverConfig,
@@ -60,7 +59,6 @@ __all__ = [
     "build_anchor_graph",
     "evaluate_all",
     "fit",
-    "fit_single",
     "labels_from_F",
     "load_dataset",
     "nmi",

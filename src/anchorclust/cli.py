@@ -4,7 +4,6 @@ Subcommands:
     fit                cluster a dataset directory, write labels + reports
     evaluate           score a predictions file against a labels file
     reconstruct-graph  expand an anchor graph to a full sample graph
-    benchmark          time the pipeline over growing synthetic datasets
     sweep              grid-search (m, beta, gamma) over one dataset
 
 Configuration comes from built-in defaults, then an optional named
@@ -47,7 +46,6 @@ from .errors import (
     NumericalBreakdown,
     ShapeMismatch,
 )
-from .single_view import fit_single
 
 PRESETS = {
     "coil": {"m": 35, "beta": 0.3, "gamma": 0.01},
@@ -93,8 +91,6 @@ class RunConfig:
     gamma: float = solver.DEFAULT_GAMMA
     rel_tol: float = 1e-6
     max_iters: int = 200
-    qp_max_iters: int = 1000
-    qp_tol: float = 1e-10
     single_view: bool = False
     normalize: bool = False
     cache_graphs: bool = False
@@ -102,12 +98,10 @@ class RunConfig:
     preset: str | None = None
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _FIELD_KINDS = {
     "dataset": str, "output_dir": str, "preset": str,
-    "c": int, "m": int, "k": int, "seed": int,
-    "max_iters": int, "qp_max_iters": int,
-    "beta": float, "gamma": float, "rel_tol": float, "qp_tol": float,
+    "c": int, "m": int, "k": int, "seed": int, "max_iters": int,
+    "beta": float, "gamma": float, "rel_tol": float,
     "single_view": bool, "normalize": bool, "cache_graphs": bool,
     "save_graph": bool,
 }
@@ -115,7 +109,7 @@ _FIELD_KINDS = {
 
 def _apply_mapping(cfg: RunConfig, mapping: dict, source: str) -> None:
     for key, value in mapping.items():
-        if key not in _CONFIG_FIELDS:
+        if key not in _FIELD_KINDS:
             raise MalformedConfig(f"{source}: unknown key {key!r}")
         kind = _FIELD_KINDS[key]
         if kind is float and isinstance(value, int) and not isinstance(value, bool):
@@ -138,9 +132,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if config_path:
         try:
             file_map = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise MalformedConfig(f"{config_path}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (OSError, json.JSONDecodeError) as exc:
             raise MalformedConfig(f"{config_path}: {exc}") from None
         if not isinstance(file_map, dict):
             raise MalformedConfig(f"{config_path}: top level must be an object")
@@ -159,10 +151,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.dataset = args.dataset or cfg.dataset
         cfg.output_dir = args.output or cfg.output_dir
 
-    for name in (
-        "c", "m", "k", "seed", "beta", "gamma", "rel_tol", "max_iters",
-        "qp_max_iters", "qp_tol",
-    ):
+    for name in ("c", "m", "k", "seed", "beta", "gamma", "rel_tol", "max_iters"):
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
@@ -253,13 +242,8 @@ def solve_and_write(cfg: RunConfig, build: GraphBuild) -> dict:
         max_iters=cfg.max_iters,
         rel_tol=cfg.rel_tol,
         seed=cfg.seed,
-        qp_max_iters=cfg.qp_max_iters,
-        qp_tol=cfg.qp_tol,
     )
-    if cfg.single_view:
-        result = fit_single(graphs.graphs[0], sconfig)
-    else:
-        result = solver.fit(graphs, sconfig)
+    result = solver.fit(graphs, sconfig)
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -312,71 +296,6 @@ def run_fit(cfg: RunConfig, build: GraphBuild | None = None) -> dict:
     return solve_and_write(cfg, build)
 
 
-def read_results(output_dir) -> dict:
-    path = Path(output_dir) / "results.json"
-    if not path.is_file():
-        raise MissingFile(f"{path}: no such file")
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
-def read_convergence(output_dir) -> list[tuple[int, float]]:
-    path = Path(output_dir) / "convergence.csv"
-    if not path.is_file():
-        raise MissingFile(f"{path}: no such file")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [(int(r["iteration"]), float(r["objective"])) for r in reader]
-
-
-def _read_report(path, fields) -> list[dict]:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"{path}: no such file")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for raw in reader:
-            rows.append({key: cast(raw[key]) for key, cast in fields.items()})
-        return rows
-
-
-def read_benchmark_report(path) -> list[dict]:
-    return _read_report(
-        path,
-        {
-            "n": int,
-            "build_seconds": float,
-            "solve_seconds": float,
-            "total_seconds": float,
-        },
-    )
-
-
-def read_sweep_report(path) -> list[dict]:
-    def opt_float(s):
-        return float(s) if s else None
-
-    return _read_report(
-        path,
-        {
-            "m": int,
-            "beta": float,
-            "gamma": float,
-            "status": str,
-            "acc": opt_float,
-            "nmi": opt_float,
-            "purity": opt_float,
-            "ari": opt_float,
-            "f_score": opt_float,
-            "precision": opt_float,
-            "final_objective": opt_float,
-            "iterations": lambda s: int(s) if s else None,
-            "converged": lambda s: s == "True" if s else None,
-            "error": str,
-        },
-    )
-
-
 def cmd_fit(args) -> int:
     cfg = resolve_config(args)
     record = run_fit(cfg)
@@ -420,56 +339,6 @@ def cmd_reconstruct_graph(args) -> int:
         else:
             dataset_mod.write_matrix_csv(full.B, out)
     print(f"wrote {out}")
-    return 0
-
-
-def cmd_benchmark(args) -> int:
-    sizes = args.sizes
-    dims = args.dims
-    rows = []
-    for n in sizes:
-        ds = dataset_mod.synth_blobs(
-            n=n,
-            c=args.c,
-            V=len(dims),
-            dims=dims,
-            separation=args.separation,
-            noise=args.noise,
-            seed=args.seed,
-        )
-        t0 = time.perf_counter()
-        anchor_set = anchors_mod.select_anchors(
-            ds, args.m, seed=args.seed, max_iters=args.kmeans_max_iters
-        )
-        gs = anchors_mod.build_all(ds, anchor_set, min(args.k, args.m - 1))
-        build = time.perf_counter() - t0
-        sconfig = solver.SolverConfig(
-            c=args.c,
-            beta=args.beta,
-            gamma=args.gamma,
-            max_iters=args.max_iters,
-            rel_tol=args.rel_tol,
-            seed=args.seed,
-        )
-        result = solver.fit(gs, sconfig)
-        rows.append(
-            {
-                "n": n,
-                "build_seconds": build,
-                "solve_seconds": result.elapsed,
-                "total_seconds": build + result.elapsed,
-            }
-        )
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["n", "build_seconds", "solve_seconds", "total_seconds"]
-        )
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    print(json.dumps(rows, indent=2))
     return 0
 
 
@@ -581,8 +450,6 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, help="factorization weight")
     p.add_argument("--rel-tol", dest="rel_tol", type=float, help="stopping tolerance")
     p.add_argument("--max-iters", dest="max_iters", type=int, help="cycle cap")
-    p.add_argument("--qp-tol", dest="qp_tol", type=float)
-    p.add_argument("--qp-max-iters", dest="qp_max_iters", type=int)
     p.add_argument("--normalize", action="store_true", help="z-score features per view")
     p.add_argument("--cache-graphs", dest="cache_graphs", action="store_true")
     p.add_argument("--save-graph", dest="save_graph", action="store_true",
@@ -608,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="dataset directory (meta.json layout)")
     p.add_argument("--output", required=True, help="output directory")
     p.add_argument("--single-view", dest="single_view", action="store_true",
-                   help="use the single-graph solver (requires a 1-view dataset)")
+                   help="reject a dataset with more than one view")
     _add_fit_flags(p)
     p.set_defaults(func=cmd_fit)
 
@@ -625,24 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "f64le"], default="csv",
                    help="dense output encoding (n x n, row-major for f64le)")
     p.set_defaults(func=cmd_reconstruct_graph)
-
-    p = sub.add_parser("benchmark", help="pipeline timing over synthetic sizes")
-    p.add_argument("--sizes", type=_int_list, required=True, help="e.g. 1000,2000,4000")
-    p.add_argument("--output", required=True, help="report CSV path")
-    p.add_argument("--c", type=int, default=5)
-    p.add_argument("--m", type=int, default=30)
-    p.add_argument("--k", type=int, default=DEFAULT_K)
-    p.add_argument("--dims", type=_int_list, default=[10, 10])
-    p.add_argument("--beta", type=float, default=solver.DEFAULT_BETA)
-    p.add_argument("--gamma", type=float, default=solver.DEFAULT_GAMMA)
-    p.add_argument("--separation", type=float, default=10.0)
-    p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=200)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-6)
-    p.add_argument("--kmeans-max-iters", dest="kmeans_max_iters", type=int,
-                   default=100, help="cap anchor k-means work per size")
-    p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("sweep", help="grid-search m, beta, gamma")
     p.add_argument("dataset")

@@ -7,8 +7,10 @@ Given V row-stochastic anchor graphs S_v (n x m), the solver minimizes
 
 over the consensus graph Z (n x m), a non-negative soft indicator
 F (n x c), a column-orthonormal basis G (m x c), and simplex view
-weights alpha. Each block update below is the exact minimizer of its
-subproblem, so the objective never increases:
+weights alpha. The F, G and Z updates are exact minimizers of their
+subproblems. The alpha QP is solved by projected gradient to QP_TOL, with
+a best-iterate fallback after QP_MAX_ITERS steps (an exact alpha step is
+open in ROADMAP.md); a single view skips it and keeps alpha = [1.0].
 
     F      max(Z G, 0)                          (separable clamp)
     G      U V^T from the SVD of Z^T F          (orthogonal Procrustes)
@@ -61,6 +63,10 @@ from .errors import (
 DEFAULT_BETA = 0.3
 DEFAULT_GAMMA = 0.1
 
+# Step cap and step tolerance of the view-weight QP (_simplex_qp).
+QP_MAX_ITERS = 1000
+QP_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -72,8 +78,6 @@ class SolverConfig:
     max_iters: int = 200
     rel_tol: float = 1e-6
     seed: int = 0
-    qp_max_iters: int = 1000
-    qp_tol: float = 1e-10
 
     def __post_init__(self):
         if self.c < 1:
@@ -87,8 +91,6 @@ class SolverConfig:
             raise InvalidParameter(f"max_iters must be >= 1, got {self.max_iters}")
         if self.rel_tol <= 0:
             raise InvalidParameter(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.qp_max_iters < 1 or self.qp_tol <= 0:
-            raise InvalidParameter("qp_max_iters must be >= 1 and qp_tol > 0")
 
 
 class SolverState:
@@ -365,7 +367,7 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def update_alpha(graphs, Z, qp_max_iters: int = 1000, qp_tol: float = 1e-10) -> np.ndarray:
+def update_alpha(graphs, Z) -> np.ndarray:
     """View weights minimizing ||Z - sum_v alpha_v S_v||_F^2 on the simplex.
 
     Expanding the norm gives the QP  alpha^T Q alpha - alpha^T q  with
@@ -383,13 +385,15 @@ def update_alpha(graphs, Z, qp_max_iters: int = 1000, qp_tol: float = 1e-10) -> 
         flat = np.stack([S.ravel() for S in graphs])
         Q = flat @ flat.T
         q = 2.0 * (flat @ Z.ravel())
-    return _simplex_qp(Q, q, qp_max_iters, qp_tol)
+    return _simplex_qp(Q, q)
 
 
-def _simplex_qp(Q: np.ndarray, q: np.ndarray, qp_max_iters: int, qp_tol: float) -> np.ndarray:
+def _simplex_qp(Q: np.ndarray, q: np.ndarray) -> np.ndarray:
     """min a^T Q a - a^T q on the simplex by projected gradient descent with
     step 1/L, L = 2 lambda_max(Q), started from the uniform weights (so
-    symmetric ties resolve to the uniform point)."""
+    symmetric ties resolve to the uniform point). Stops when no weight
+    moves by QP_TOL; after QP_MAX_ITERS steps it warns and returns the
+    best iterate."""
     V = q.size
     L = 2.0 * max(float(np.linalg.eigvalsh(Q)[-1]), np.finfo(float).tiny)
 
@@ -398,17 +402,17 @@ def _simplex_qp(Q: np.ndarray, q: np.ndarray, qp_max_iters: int, qp_tol: float) 
 
     alpha = np.full(V, 1.0 / V)
     best, best_val = alpha, value(alpha)
-    for _ in range(qp_max_iters):
+    for _ in range(QP_MAX_ITERS):
         grad = 2.0 * (Q @ alpha) - q
         nxt = project_simplex(alpha - grad / L)
         nxt_val = value(nxt)
         if nxt_val < best_val:
             best, best_val = nxt, nxt_val
-        if np.max(np.abs(nxt - alpha)) < qp_tol:
+        if np.max(np.abs(nxt - alpha)) < QP_TOL:
             return nxt
         alpha = nxt
     warnings.warn(
-        f"view-weight QP did not reach tol={qp_tol} in {qp_max_iters} "
+        f"view-weight QP did not reach tol={QP_TOL} in {QP_MAX_ITERS} "
         "iterations; returning the best iterate",
         QpNotConvergedWarning,
         stacklevel=3,
@@ -452,13 +456,8 @@ def labels_from_F(F: np.ndarray) -> np.ndarray:
 
 def fit(graphs: AnchorGraphSet, config: SolverConfig) -> ClusteringResult:
     """Run the alternating scheme until the relative objective change
-    drops below rel_tol or max_iters cycles elapse."""
-    return _fit_loop(graphs, config, with_alpha=True)
-
-
-def _fit_loop(
-    graphs: AnchorGraphSet, config: SolverConfig, with_alpha: bool
-) -> ClusteringResult:
+    drops below rel_tol or max_iters cycles elapse. A single view keeps
+    alpha = [1.0] and skips the alpha step."""
     t0 = time.perf_counter()
     state = init_state(graphs, config)
     Z = state._Z
@@ -479,10 +478,8 @@ def _fit_loop(
             state.G = update_G(Z, state.F)
             Z = update_Z(bundle, state.alpha, state.F, state.G, beta, gamma)
             state.Z = Z
-            if with_alpha and graphs.num_views > 1:
-                state.alpha = update_alpha(
-                    bundle, Z, config.qp_max_iters, config.qp_tol
-                )
+            if graphs.num_views > 1:
+                state.alpha = update_alpha(bundle, Z)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown(
                 f"linear algebra failed at cycle {cycle}: {exc}"

@@ -127,10 +127,11 @@ def naive_reconstruction(S):
     return B
 
 
-def dense_reference_fit(graphs, config, with_alpha=True):
+def dense_reference_fit(graphs, config):
     """fit's cycle replayed on dense n x m matrices with the public block
-    updates (update_F/G/Z/alpha) and objective(), from fit's initial draw.
-    Returns (objective history, labels, final state)."""
+    updates (update_F/G/Z/alpha) and objective(), from fit's initial draw;
+    a single view keeps alpha = [1.0]. Returns (objective history, labels,
+    final state)."""
     S_list = [np.asarray(S, dtype=np.float64) for S in graphs.graphs]
     V, (n, m), c = len(S_list), S_list[0].shape, config.c
     alpha = np.full(V, 1.0 / V)
@@ -148,9 +149,8 @@ def dense_reference_fit(graphs, config, with_alpha=True):
         state.G = update_G(state.Z, state.F)
         state.Z = update_Z(S_list, state.alpha, state.F, state.G,
                            config.beta, config.gamma)
-        if with_alpha and V > 1:
-            state.alpha = update_alpha(S_list, state.Z, config.qp_max_iters,
-                                       config.qp_tol)
+        if V > 1:
+            state.alpha = update_alpha(S_list, state.Z)
         history.append(objective(state, dense, config))
         if abs(history[-1] - history[-2]) / max(history[-2], 1e-12) < config.rel_tol:
             break

@@ -184,6 +184,24 @@ class TestScaling:
         large = min(build_seconds(2000) for _ in range(5))
         assert large / small <= 6.0
 
+    def test_doubling_n_keeps_build_ratio_bounded(self):
+        # anchors (k-means capped at 10 iterations) plus graphs, best of 3
+        import time
+
+        def build_seconds(n):
+            ds = synth_blobs(n, 4, 2, [8, 8], noise=1.0, seed=0)
+            t0 = time.perf_counter()
+            anchor_set = select_anchors(ds, 15, seed=0, max_iters=10)
+            build_all(ds, anchor_set, 5)
+            return time.perf_counter() - t0
+
+        build_seconds(500)  # warm up
+        best = {3000: float("inf"), 6000: float("inf")}
+        for _ in range(3):
+            for n in best:
+                best[n] = min(best[n], build_seconds(n))
+        assert best[6000] / best[3000] <= 3.0
+
 
 class TestGraphCache:
     def test_round_trip(self, tmp_path):

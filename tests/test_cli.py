@@ -1,6 +1,10 @@
+import ast
+import csv
+import dataclasses
 import json
 import pickle
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +12,7 @@ import pytest
 from anchorclust import anchors as anchors_mod
 from anchorclust import cli
 from anchorclust import dataset as dataset_mod
-from anchorclust.cli import (
-    PRESETS,
-    main,
-    read_benchmark_report,
-    read_convergence,
-    read_results,
-    read_sweep_report,
-)
+from anchorclust.cli import PRESETS, main
 from anchorclust.dataset import (
     MultiViewDataset,
     save_dataset,
@@ -23,6 +20,40 @@ from anchorclust.dataset import (
     write_matrix_csv,
 )
 from anchorclust.errors import DegenerateViewWarning
+
+
+def read_results(output_dir) -> dict:
+    return json.loads((Path(output_dir) / "results.json").read_text(encoding="utf-8"))
+
+
+def read_convergence(output_dir) -> list[tuple[int, float]]:
+    with open(Path(output_dir) / "convergence.csv", encoding="utf-8", newline="") as fh:
+        return [(int(r["iteration"]), float(r["objective"])) for r in csv.DictReader(fh)]
+
+
+def read_sweep_report(path) -> list[dict]:
+    def opt_float(s):
+        return float(s) if s else None
+
+    fields = {
+        "m": int,
+        "beta": float,
+        "gamma": float,
+        "status": str,
+        "acc": opt_float,
+        "nmi": opt_float,
+        "purity": opt_float,
+        "ari": opt_float,
+        "f_score": opt_float,
+        "precision": opt_float,
+        "final_objective": opt_float,
+        "iterations": lambda s: int(s) if s else None,
+        "converged": lambda s: s == "True" if s else None,
+        "error": str,
+    }
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [{key: cast(raw[key]) for key, cast in fields.items()}
+                for raw in csv.DictReader(fh)]
 
 
 @pytest.fixture()
@@ -109,6 +140,25 @@ class TestFitCommand:
                      "--config", str(cfg)])
         assert code == 2
         assert "bogus_knob" in capsys.readouterr().err
+
+    def test_config_file_with_qp_tol_exits_2(self, blob_dir, tmp_path, capsys):
+        # the view-weight QP's tolerance is a solver constant, not a config key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"c": 3, "qp_tol": 1e-10}))
+        code = main(["fit", str(blob_dir), "--output", str(tmp_path / "o"),
+                     "--config", str(cfg)])
+        assert code == 2
+        assert "unknown key 'qp_tol'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--qp-tol", "--qp-max-iters"])
+    def test_qp_flags_rejected(self, blob_dir, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(fit_args(blob_dir, tmp_path / "o") + [flag, "1"])
+        assert exc.value.code == 2
+
+    def test_config_keys_are_run_config_fields(self):
+        fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+        assert set(cli._FIELD_KINDS) == fields
 
     def test_config_file_plus_flag_override(self, blob_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -218,6 +268,18 @@ class TestFitCommand:
         assert code == 0
         assert read_results(out)["alpha"] == [1.0]
 
+    def test_single_view_flag_changes_no_output(self, tmp_path):
+        ds = synth_blobs(80, 3, 1, [5], noise=2.0, seed=4)
+        root = tmp_path / "sv"
+        save_dataset(ds, root)
+        outs = [tmp_path / "flag", tmp_path / "plain"]
+        for out, extra in zip(outs, (["--single-view"], [])):
+            args = ["fit", str(root), "--output", str(out), "--c", "3", "--m", "12",
+                    "--k", "3", "--seed", "4"]
+            assert main(args + extra) == 0
+        for name in ("labels.txt", "convergence.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
 
 class TestEvaluateCommand:
     def test_prints_six_metrics(self, tmp_path, capsys):
@@ -293,37 +355,6 @@ class TestReconstructCommand:
         dense = np.loadtxt(tmp_path / "B.csv", delimiter=",")
         raw = np.fromfile(tmp_path / "B.f64", dtype="<f8").reshape(5, 5)
         assert np.array_equal(dense, raw)
-
-
-class TestBenchmarkCommand:
-    def test_two_sizes_two_rows(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        code = main(["benchmark", "--sizes", "200,400", "--output", str(out),
-                     "--m", "8", "--c", "3", "--dims", "3,3",
-                     "--max-iters", "5"])
-        assert code == 0
-        rows = read_benchmark_report(out)
-        assert [r["n"] for r in rows] == [200, 400]
-        for row in rows:
-            assert row["total_seconds"] >= row["build_seconds"]
-            assert row["total_seconds"] == pytest.approx(
-                row["build_seconds"] + row["solve_seconds"], rel=1e-6
-            )
-
-    def test_doubling_n_keeps_build_ratio_bounded(self, tmp_path):
-        def build_at(sizes, path):
-            main(["benchmark", "--sizes", sizes, "--output", str(path),
-                  "--m", "15", "--c", "4", "--dims", "8,8",
-                  "--kmeans-max-iters", "10", "--max-iters", "3"])
-            return {r["n"]: r["build_seconds"] for r in read_benchmark_report(path)}
-
-        build_at("500", tmp_path / "warm.csv")  # warm up
-        best = {3000: float("inf"), 6000: float("inf")}
-        for rep in range(3):
-            timings = build_at("3000,6000", tmp_path / f"b{rep}.csv")
-            for n in best:
-                best[n] = min(best[n], timings[n])
-        assert best[6000] / best[3000] <= 3.0
 
 
 class TestSweepCommand:
@@ -511,3 +542,20 @@ class TestSweepCommand:
         assert all(read_results(out / "cells" / c)["graphs_cached"] for c in cells)
         assert first == {c: (out / "cells" / c / "labels.txt").read_bytes()
                          for c in cells}
+
+
+def test_only_cli_prints():
+    # the library reports through return values and warnings; only the
+    # command-line front end writes to the terminal
+    package = Path(cli.__file__).parent
+    printers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        printers += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "print"
+        ]
+    assert printers == []

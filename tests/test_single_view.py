@@ -1,7 +1,6 @@
 import numpy as np
 
 from anchorclust.anchors import AnchorGraphSet
-from anchorclust.single_view import fit_single
 from anchorclust.solver import SolverConfig, fit
 
 
@@ -11,25 +10,15 @@ def random_stochastic(n, m, seed):
     return S / S.sum(axis=1, keepdims=True)
 
 
+def fit_one(S, cfg):
+    return fit(AnchorGraphSet(graphs=[S], k=0), cfg)
+
+
 def test_unregularized_single_cycle_copies_graph():
     S = random_stochastic(8, 4, seed=0)
     cfg = SolverConfig(c=2, beta=0.0, gamma=0.0, max_iters=1)
-    res = fit_single(S, cfg)
+    res = fit_one(S, cfg)
     assert np.array_equal(res.state.Z, S)
-
-
-def test_matches_multi_view_path_exactly():
-    for seed in range(5):
-        S = random_stochastic(12, 5, seed=seed)
-        cfg = SolverConfig(c=3, beta=0.2, gamma=0.1, max_iters=25, seed=seed)
-        single = fit_single(S, cfg)
-        multi = fit(AnchorGraphSet(graphs=[S], k=0), cfg)
-        assert np.array_equal(single.labels, multi.labels)
-        assert np.array_equal(single.state.Z, multi.state.Z)
-        assert np.array_equal(single.state.F, multi.state.F)
-        assert np.array_equal(single.state.G, multi.state.G)
-        assert np.array_equal(single.state.alpha, multi.state.alpha)
-        assert single.state.objective_history == multi.state.objective_history
 
 
 def test_monotone_descent():
@@ -44,11 +33,11 @@ def test_monotone_descent():
             rel_tol=1e-14,
             seed=trial,
         )
-        hist = fit_single(S, cfg).state.objective_history
+        hist = fit_one(S, cfg).state.objective_history
         assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 
 
 def test_alpha_pinned_at_one():
     S = random_stochastic(10, 4, seed=2)
-    res = fit_single(S, SolverConfig(c=2, max_iters=5))
+    res = fit_one(S, SolverConfig(c=2, max_iters=5))
     assert np.array_equal(res.state.alpha, [1.0])

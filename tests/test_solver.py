@@ -14,11 +14,11 @@ from oracles import (
     random_stochastic,
 )
 
+from anchorclust import solver
 from anchorclust.anchors import AnchorGraphSet, build_all, select_anchors
 from anchorclust.dataset import synth_blobs
 from anchorclust.errors import InvalidParameter, NumericalBreakdown
 from anchorclust.metrics import accuracy
-from anchorclust.single_view import fit_single
 from anchorclust.solver import (
     GraphBundle,
     SolverConfig,
@@ -235,16 +235,17 @@ class TestUpdateAlpha:
             best = alpha_grid_search(gs.graphs, Z)
             assert np.max(np.abs(alpha - best)) <= 1e-3 + 1e-9
 
-    def test_iteration_cap_warns_and_returns_best(self):
+    def test_iteration_cap_warns_and_returns_best(self, monkeypatch):
         from anchorclust.errors import QpNotConvergedWarning
 
+        monkeypatch.setattr(solver, "QP_MAX_ITERS", 1)
         n = 10
         S1 = np.zeros((n, 4))
         S1[:, 0] = 1.0
         S2 = np.zeros((n, 4))
         S2[:, 2] = 1.0
         with pytest.warns(QpNotConvergedWarning):
-            alpha = update_alpha([S1, S2], S1.copy(), qp_max_iters=1)
+            alpha = update_alpha([S1, S2], S1.copy())
         assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(alpha >= 0)
         # the single step still moved toward the matching view
@@ -428,7 +429,6 @@ class TestSolverConfig:
             dict(c=2, gamma=-0.1),
             dict(c=2, max_iters=0),
             dict(c=2, rel_tol=0.0),
-            dict(c=2, qp_tol=0.0),
         ],
     )
     def test_validation(self, kwargs):
@@ -441,9 +441,9 @@ def blob_graphs(n=600, c=5, dims=(10, 10), m=25, k=5, seed=0, **blob_kwargs):
     return build_all(ds, select_anchors(ds, m=m, seed=seed), k=k)
 
 
-def assert_matches_dense_reference(result, graphs, cfg, with_alpha=True):
+def assert_matches_dense_reference(result, graphs, cfg):
     """fit keeps Z factored; its run must track the dense reference loop."""
-    history, labels, ref = dense_reference_fit(graphs, cfg, with_alpha)
+    history, labels, ref = dense_reference_fit(graphs, cfg)
     got = np.asarray(result.state.objective_history)
     assert got.shape == (len(history),)
     rel = np.abs(got - history) / np.maximum(np.abs(history), 1e-300)
@@ -516,8 +516,9 @@ class TestFactoredFit:
             S = random_stochastic(30, 6, seed=seed)
             cfg = SolverConfig(c=3, beta=0.3, gamma=0.1, max_iters=40, seed=seed)
             graphs = AnchorGraphSet(graphs=[S], k=0)
-            assert_matches_dense_reference(fit_single(S, cfg), graphs, cfg,
-                                           with_alpha=False)
+            result = fit(graphs, cfg)
+            assert_matches_dense_reference(result, graphs, cfg)
+            assert np.array_equal(result.state.alpha, [1.0])
 
     def test_threshold_cuts_every_singular_value(self):
         gs = blob_graphs(seed=2)

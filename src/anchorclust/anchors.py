@@ -23,18 +23,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import MultiViewDataset, read_matrix_csv, write_matrix_csv
+from . import dataset as dataset_mod
+from .dataset import MultiViewDataset
 from .errors import (
     DegenerateRowWarning,
     DegenerateViewWarning,
     InvalidParameter,
     IoError,
     MalformedMeta,
-    MissingFile,
     ShapeMismatch,
 )
 
-GRAPH_META_FILE = "anchor_graphs.json"
+ANCHOR_KEY_FILE = "anchor_key.json"
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,10 @@ def build_anchor_graph(X: np.ndarray, anchors: np.ndarray, k: int) -> np.ndarray
     """Normalized k-NN anchor graph of one view (see module docstring)."""
     X = np.asarray(X, dtype=np.float64)
     anchors = np.asarray(anchors, dtype=np.float64)
+    if anchors.shape[1:] != X.shape[1:]:
+        raise ShapeMismatch(
+            f"anchors of shape {anchors.shape} for samples of shape {X.shape}"
+        )
     n, m = X.shape[0], anchors.shape[0]
     if not (1 <= k <= m - 1):
         raise InvalidParameter(
@@ -226,7 +230,7 @@ def build_all(ds: MultiViewDataset, anchor_set: AnchorSet, k: int) -> AnchorGrap
 
 
 def dataset_digest(ds: MultiViewDataset, normalize: bool) -> str:
-    """Graph-cache key of a loaded dataset: its views' shapes and bytes
+    """Anchor-cache key of a loaded dataset: its views' shapes and bytes
     (after any normalization) and the normalize flag."""
     h = hashlib.blake2b(digest_size=16)
     h.update(b"normalize=%d" % bool(normalize))
@@ -236,61 +240,30 @@ def dataset_digest(ds: MultiViewDataset, normalize: bool) -> str:
     return h.hexdigest()
 
 
-def save_graph_set(
-    gs: AnchorGraphSet, root_path, seed: int | None = None, digest: str | None = None
-) -> None:
-    """Cache a graph set as CSV view files plus a sidecar JSON holding
-    m, k, seed and, when given, the dataset digest."""
-    root = Path(root_path)
+def save_anchor_set(anchor_set: AnchorSet, root_path, key: dict) -> None:
+    """Cache anchors as an f64le dataset directory. The old key file goes
+    first and the new one last, so an interrupted save reads as a miss."""
+    key_path = Path(root_path) / ANCHOR_KEY_FILE
+    entry = MultiViewDataset(views=anchor_set.anchors)
     try:
-        root.mkdir(parents=True, exist_ok=True)
-        entries = []
-        for i, S in enumerate(gs.graphs):
-            fname = f"graph{i}.csv"
-            write_matrix_csv(S, root / fname)
-            entries.append(
-                {"name": f"graph{i}", "file": fname, "dims": gs.m, "format": "csv"}
-            )
-        (root / "meta.json").write_text(
-            json.dumps({"n": gs.n, "views": entries}, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        sidecar = {"m": gs.m, "k": gs.k, "seed": seed}
-        if digest is not None:
-            sidecar["digest"] = digest
-        (root / GRAPH_META_FILE).write_text(
-            json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-        )
+        key_path.unlink(missing_ok=True)
+        dataset_mod.save_dataset(entry, root_path, fmt="f64le")
+        key_path.write_text(json.dumps(key) + "\n", encoding="utf-8")
     except OSError as exc:
-        raise IoError(f"writing graph cache under {root}: {exc}") from None
+        raise IoError(f"writing anchor cache {key_path}: {exc}") from None
 
 
-def read_graph_sidecar(root_path) -> dict:
-    """The sidecar of a cached graph set (m, k, seed, digest), read
-    without touching the graph files."""
-    side_path = Path(root_path) / GRAPH_META_FILE
-    if not side_path.is_file():
-        raise MissingFile(f"{side_path}: no such file")
+def load_anchor_set(root_path, key: dict) -> AnchorSet | None:
+    """The anchors cached under root_path if its key file equals key,
+    else None; no anchor file is read on a miss."""
+    key_path = Path(root_path) / ANCHOR_KEY_FILE
+    if not key_path.is_file():
+        return None
     try:
-        sidecar = json.loads(side_path.read_text(encoding="utf-8"))
-        int(sidecar["k"])
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise MalformedMeta(f"{side_path}: {type(exc).__name__}: {exc}") from None
-    return sidecar
-
-
-def load_graph_set(root_path) -> tuple[AnchorGraphSet, dict]:
-    """Load a cached graph set; returns (graphs, sidecar dict)."""
-    root = Path(root_path)
-    sidecar = read_graph_sidecar(root)
-    k = int(sidecar["k"])
-    meta_path = root / "meta.json"
-    if not meta_path.is_file():
-        raise MissingFile(f"{meta_path}: no such file")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        files = [entry["file"] for entry in meta["views"]]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise MalformedMeta(f"{meta_path}: {type(exc).__name__}: {exc}") from None
-    graphs = [read_matrix_csv(root / f) for f in files]
-    return AnchorGraphSet(graphs=graphs, k=k), sidecar
+        stored = json.loads(key_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise MalformedMeta(f"{key_path}: {exc}") from None
+    if stored != key:
+        return None
+    views = dataset_mod.load_dataset(root_path).views
+    return AnchorSet(anchors=views, m=key["m"], kmeans_iters_used=0)

@@ -25,6 +25,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -196,6 +197,15 @@ class GraphBuild:
     cached: bool
 
 
+@contextmanager
+def _writing(path):
+    """Raise an OSError of the writes under path as IoError (exit 3)."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoError(f"writing {path}: {exc}") from None
+
+
 def load_data(cfg: RunConfig):
     """Load the dataset, z-score it under --normalize, check --single-view."""
     ds = dataset_mod.load_dataset(cfg.dataset)
@@ -209,27 +219,22 @@ def load_data(cfg: RunConfig):
 
 
 def build_graphs(cfg: RunConfig, ds, cache_dir: Path) -> GraphBuild:
-    """Anchor graphs for cfg.m. Under --cache-graphs they are reused from
-    cache_dir only when m, k, seed and the dataset digest all match."""
+    """Anchor graphs for cfg.m, built from the anchors that --cache-graphs
+    keeps in cache_dir under m, seed and the dataset digest."""
     c, m, k = _resolve_solver_params(cfg, ds)
-    key = None
+    t0 = time.perf_counter()
+    anchor_set = None
     if cfg.cache_graphs:
         digest = anchors_mod.dataset_digest(ds, cfg.normalize)
-        key = {"m": m, "k": k, "seed": cfg.seed, "digest": digest}
-        if (
-            (cache_dir / anchors_mod.GRAPH_META_FILE).is_file()
-            and anchors_mod.read_graph_sidecar(cache_dir) == key
-        ):
-            gs, _ = anchors_mod.load_graph_set(cache_dir)
-            if (gs.n, gs.m, gs.num_views) == (ds.n, m, ds.num_views):
-                return GraphBuild(gs, ds.labels, c, k, 0.0, True)
-    t0 = time.perf_counter()
-    anchor_set = anchors_mod.select_anchors(ds, m, seed=cfg.seed)
+        key = {"m": m, "seed": cfg.seed, "digest": digest}
+        anchor_set = anchors_mod.load_anchor_set(cache_dir, key)
+    cached = anchor_set is not None
+    if not cached:
+        anchor_set = anchors_mod.select_anchors(ds, m, seed=cfg.seed)
+        if cfg.cache_graphs:
+            anchors_mod.save_anchor_set(anchor_set, cache_dir, key)
     gs = anchors_mod.build_all(ds, anchor_set, k)
-    seconds = time.perf_counter() - t0
-    if key is not None:
-        anchors_mod.save_graph_set(gs, cache_dir, seed=cfg.seed, digest=key["digest"])
-    return GraphBuild(gs, ds.labels, c, k, seconds, False)
+    return GraphBuild(gs, ds.labels, c, k, time.perf_counter() - t0, cached)
 
 
 def solve_and_write(cfg: RunConfig, build: GraphBuild) -> dict:
@@ -244,19 +249,6 @@ def solve_and_write(cfg: RunConfig, build: GraphBuild) -> dict:
         seed=cfg.seed,
     )
     result = solver.fit(graphs, sconfig)
-
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "labels.txt", "w", encoding="utf-8") as fh:
-        fh.writelines(f"{int(y)}\n" for y in result.labels)
-    with open(out / "convergence.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "objective"])
-        for i, obj in enumerate(result.state.objective_history):
-            writer.writerow([i, repr(obj)])
-    if cfg.save_graph:
-        dataset_mod.write_matrix_csv(result.state.Z, out / "consensus_graph.csv")
-
     scores = None
     if build.labels is not None:
         scores = metrics.evaluate_all(result.labels, build.labels)
@@ -280,9 +272,21 @@ def solve_and_write(cfg: RunConfig, build: GraphBuild) -> dict:
         "seed": cfg.seed,
         "metrics": scores,
     }
-    (out / "results.json").write_text(
-        json.dumps(record, indent=2) + "\n", encoding="utf-8"
-    )
+    out = Path(cfg.output_dir)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "labels.txt", "w", encoding="utf-8") as fh:
+            fh.writelines(f"{int(y)}\n" for y in result.labels)
+        with open(out / "convergence.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iteration", "objective"])
+            for i, obj in enumerate(result.state.objective_history):
+                writer.writerow([i, repr(obj)])
+        if cfg.save_graph:
+            dataset_mod.write_matrix_csv(result.state.Z, out / "consensus_graph.csv")
+        (out / "results.json").write_text(
+            json.dumps(record, indent=2) + "\n", encoding="utf-8"
+        )
     return record
 
 
@@ -323,21 +327,21 @@ def cmd_reconstruct_graph(args) -> int:
         )
         S = np.maximum(S, 0.0)
     out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if args.top_k is not None:
-        B = graph_tools.reconstruct_top_k(S, args.top_k)
-        coo = B.tocoo()
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "col", "value"])
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                writer.writerow([int(i), int(j), repr(float(v))])
-    else:
-        full = graph_tools.reconstruct_full_graph(S)
-        if args.format == "f64le":
-            full.B.astype("<f8").tofile(out)
+    with _writing(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        if args.top_k is not None:
+            coo = graph_tools.reconstruct_top_k(S, args.top_k).tocoo()
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["row", "col", "value"])
+                for i, j, v in zip(coo.row, coo.col, coo.data):
+                    writer.writerow([int(i), int(j), repr(float(v))])
         else:
-            dataset_mod.write_matrix_csv(full.B, out)
+            B = graph_tools.reconstruct_full_graph(S).B
+            if args.format == "f64le":
+                B.astype("<f8").tofile(out)
+            else:
+                dataset_mod.write_matrix_csv(B, out)
     print(f"wrote {out}")
     return 0
 
@@ -424,17 +428,17 @@ def cmd_sweep(args) -> int:
         rows = [_sweep_cell(job, builds[job.m]) for job in jobs]
 
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     fields = [
         "m", "beta", "gamma", "status", "acc", "nmi", "purity", "ari",
         "f_score", "precision", "final_objective", "iterations", "converged",
         "error",
     ]
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, restval="")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    with _writing(out / "sweep.csv"):
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=fields, restval="")
+            writer.writeheader()
+            writer.writerows(rows)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} cells)")
     return 0
 

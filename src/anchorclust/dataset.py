@@ -282,13 +282,10 @@ def save_dataset(ds: MultiViewDataset, root_path, fmt: str = "csv") -> None:
 def write_matrix_csv(X: np.ndarray, path) -> None:
     """Write a matrix as header-less CSV; repr round-trips float64 exactly."""
     X = np.asarray(X, dtype=np.float64)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in X:
-                fh.write(",".join(repr(x) for x in row.tolist()))
-                fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"writing {path}: {exc}") from None
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in X:
+            fh.write(",".join(repr(x) for x in row.tolist()))
+            fh.write("\n")
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AllZeroGraph, InvalidParameter
+from .errors import AllZeroGraph, InvalidParameter, NonFiniteValue
 
 DENSE_N_CAP = 20000
 
@@ -30,7 +30,7 @@ def _check_graph(S: np.ndarray) -> np.ndarray:
     if S.ndim != 2:
         raise InvalidParameter(f"expected a 2-d anchor graph, got shape {S.shape}")
     if not np.isfinite(S).all():
-        raise InvalidParameter("anchor graph has non-finite entries")
+        raise NonFiniteValue("anchor graph has non-finite entries")
     if (S < 0).any():
         raise InvalidParameter("anchor graph has negative entries")
     return S

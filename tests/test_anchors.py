@@ -9,8 +9,8 @@ from anchorclust.anchors import (
     AnchorGraphSet,
     build_all,
     build_anchor_graph,
-    load_graph_set,
-    save_graph_set,
+    load_anchor_set,
+    save_anchor_set,
     select_anchors,
 )
 from anchorclust.dataset import MultiViewDataset, synth_blobs
@@ -19,6 +19,7 @@ from anchorclust.errors import (
     DegenerateViewWarning,
     InvalidParameter,
     MalformedMeta,
+    ShapeMismatch,
 )
 
 
@@ -54,6 +55,10 @@ class TestBuildAnchorGraph:
         X, C = anchors_at_sq_dists([1.0, 2.0])
         with pytest.raises(InvalidParameter):
             build_anchor_graph(X, C, k=2)
+
+    def test_anchor_columns_must_match_view(self):
+        with pytest.raises(ShapeMismatch):
+            build_anchor_graph(np.zeros((5, 3)), np.zeros((4, 2)), k=2)
 
     def test_support_is_k_nearest(self):
         rng = np.random.default_rng(0)
@@ -204,24 +209,30 @@ class TestScaling:
 
 
 class TestGraphCache:
+    KEY = {"m": 4, "seed": 9, "digest": "d"}
+
     def test_round_trip(self, tmp_path):
         ds = synth_blobs(30, 2, 2, [2, 3], seed=0)
-        gs = build_all(ds, select_anchors(ds, m=4, seed=9), k=2)
-        save_graph_set(gs, tmp_path / "cache", seed=9)
-        back, sidecar = load_graph_set(tmp_path / "cache")
-        assert sidecar == {"m": 4, "k": 2, "seed": 9}
-        assert back.k == 2
-        for Sa, Sb in zip(gs.graphs, back.graphs):
-            assert np.array_equal(Sa, Sb)
+        anchor_set = select_anchors(ds, m=4, seed=9)
+        save_anchor_set(anchor_set, tmp_path / "cache", self.KEY)
+        back = load_anchor_set(tmp_path / "cache", self.KEY)
+        for Ca, Cb in zip(anchor_set.anchors, back.anchors):
+            assert np.array_equal(Ca, Cb)
+        for k in (1, 2, 3):
+            built, loaded = build_all(ds, anchor_set, k), build_all(ds, back, k)
+            for Sa, Sb in zip(built.graphs, loaded.graphs):
+                assert Sa.tobytes() == Sb.tobytes()
+        for other in ({**self.KEY, "seed": 8}, {**self.KEY, "digest": "e"}):
+            assert load_anchor_set(tmp_path / "cache", other) is None
+        assert load_anchor_set(tmp_path / "empty", self.KEY) is None
 
     @pytest.mark.parametrize("meta", ["{not json", '{"n": 30}', "[]"])
     def test_malformed_meta_raises_typed_error(self, tmp_path, meta):
         ds = synth_blobs(30, 2, 2, [2, 3], seed=0)
-        gs = build_all(ds, select_anchors(ds, m=4, seed=9), k=2)
-        save_graph_set(gs, tmp_path / "cache", seed=9)
+        save_anchor_set(select_anchors(ds, m=4, seed=9), tmp_path / "cache", self.KEY)
         (tmp_path / "cache" / "meta.json").write_text(meta)
         with pytest.raises(MalformedMeta):
-            load_graph_set(tmp_path / "cache")
+            load_anchor_set(tmp_path / "cache", self.KEY)
 
     def test_graph_set_shape_check(self):
         with pytest.raises(Exception):

@@ -215,25 +215,72 @@ class TestFitCommand:
 
     def test_stale_cache_miss_reads_no_graph_csv(self, blob_dir, tmp_path,
                                                  monkeypatch):
-        reads = []
-        read = anchors_mod.read_matrix_csv
+        # the key file is compared before any anchor file of the entry is read
+        out = tmp_path / "run"
+        cache_loads = []
+        load = dataset_mod.load_dataset
 
-        def counting_read(path, *args, **kwargs):
-            reads.append(path)
-            return read(path, *args, **kwargs)
+        def counting_load(root, *args, **kwargs):
+            if Path(root) == out / "graphs":
+                cache_loads.append(root)
+            return load(root, *args, **kwargs)
 
-        monkeypatch.setattr(anchors_mod, "read_matrix_csv", counting_read)
+        monkeypatch.setattr(dataset_mod, "load_dataset", counting_load)
         other = tmp_path / "other"
         save_dataset(synth_blobs(60, 3, 2, [4, 5], separation=10, noise=0.1,
                                  seed=7), other)
-        out = tmp_path / "run"
         main(fit_args(blob_dir, out) + ["--cache-graphs"])
         main(fit_args(other, out) + ["--cache-graphs"])
         assert read_results(out)["graphs_cached"] is False
-        assert reads == []
+        assert cache_loads == []
         main(fit_args(other, out) + ["--cache-graphs"])
         assert read_results(out)["graphs_cached"] is True
-        assert len(reads) == 2
+        assert len(cache_loads) == 1
+
+    def test_cache_hit_for_another_k(self, blob_dir, tmp_path):
+        fresh = tmp_path / "fresh"
+        main(fit_args(blob_dir, fresh, k=3))
+        out = tmp_path / "run"
+        main(fit_args(blob_dir, out, k=2) + ["--cache-graphs"])
+        main(fit_args(blob_dir, out, k=3) + ["--cache-graphs"])
+        assert read_results(out)["graphs_cached"] is True
+        assert read_results(out)["k"] == 3
+        for fname in ("labels.txt", "convergence.csv"):
+            assert (out / fname).read_bytes() == (fresh / fname).read_bytes()
+
+    def test_old_graph_csv_entry_is_a_miss(self, blob_dir, tmp_path):
+        fresh = tmp_path / "fresh"
+        main(fit_args(blob_dir, fresh))
+        # an entry of the earlier format: graph CSVs, meta.json and a
+        # sidecar keyed on m, k, seed and digest, with no anchor key file
+        ds = dataset_mod.load_dataset(blob_dir)
+        graphs = anchors_mod.build_all(ds, anchors_mod.select_anchors(ds, 10), 3)
+        entry = tmp_path / "run" / "graphs"
+        save_dataset(MultiViewDataset(views=graphs.graphs), entry)
+        (entry / "anchor_graphs.json").write_text(json.dumps(
+            {"m": 10, "k": 3, "seed": 0,
+             "digest": anchors_mod.dataset_digest(ds, False)}))
+        out = tmp_path / "run"
+        main(fit_args(blob_dir, out) + ["--cache-graphs"])
+        assert read_results(out)["graphs_cached"] is False
+        for fname in ("labels.txt", "convergence.csv"):
+            assert (out / fname).read_bytes() == (fresh / fname).read_bytes()
+        main(fit_args(blob_dir, out) + ["--cache-graphs"])
+        assert read_results(out)["graphs_cached"] is True
+
+    def test_unparseable_cache_key_exits_3(self, blob_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(fit_args(blob_dir, out) + ["--cache-graphs"])
+        (out / "graphs" / anchors_mod.ANCHOR_KEY_FILE).write_text("{not json")
+        capsys.readouterr()
+        assert main(fit_args(blob_dir, out) + ["--cache-graphs"]) == 3
+        assert "MalformedMeta" in capsys.readouterr().err
+
+    def test_output_path_is_a_file_exits_3(self, blob_dir, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(fit_args(blob_dir, taken)) == 3
+        assert "data error [IoError]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("meta", ["{not json", '{"n": 60}'])
     def test_corrupt_graph_cache_exits_3(self, blob_dir, tmp_path, capsys, meta):
@@ -355,6 +402,27 @@ class TestReconstructCommand:
         dense = np.loadtxt(tmp_path / "B.csv", delimiter=",")
         raw = np.fromfile(tmp_path / "B.f64", dtype="<f8").reshape(5, 5)
         assert np.array_equal(dense, raw)
+
+
+    def test_unwritable_output_exits_3(self, tmp_path, capsys):
+        write_matrix_csv(np.full((4, 2), 0.5), tmp_path / "S.csv")
+        (tmp_path / "taken").write_text("")
+        code = main(["reconstruct-graph", str(tmp_path / "S.csv"),
+                     str(tmp_path / "taken" / "B.csv")])
+        assert code == 3
+        assert "data error [IoError]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("top_k", [[], ["--top-k", "2"]])
+    def test_non_finite_graph_exits_3(self, tmp_path, capsys, bad, top_k):
+        S = np.full((4, 2), 0.5)
+        S[1, 0] = bad
+        write_matrix_csv(S, tmp_path / "S.csv")
+        code = main(["reconstruct-graph", str(tmp_path / "S.csv"),
+                     str(tmp_path / "B.csv")] + top_k)
+        assert code == 3
+        assert "data error [NonFiniteValue]" in capsys.readouterr().err
+        assert not (tmp_path / "B.csv").exists()
 
 
 class TestSweepCommand:
@@ -526,6 +594,23 @@ class TestSweepCommand:
         assert code == 0
         assert caught == []
         assert capsys.readouterr().err == ""
+
+    def test_unwritable_cells_fail_and_unwritable_report_exits_3(
+            self, blob_dir, tmp_path, capsys):
+        argv = ["--m-grid", "8", "--beta-grid", "0.2", "--gamma-grid", "0.1,1.0",
+                "--c", "3", "--max-iters", "5"]
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "cells").write_text("")
+        assert main(["sweep", str(blob_dir), "--output", str(out)] + argv) == 0
+        rows = read_sweep_report(out / "sweep.csv")
+        assert [r["status"] for r in rows] == ["failed", "failed"]
+        assert all(r["error"].startswith("IoError: ") for r in rows)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        capsys.readouterr()
+        assert main(["sweep", str(blob_dir), "--output", str(taken)] + argv) == 3
+        assert "data error [IoError]" in capsys.readouterr().err
 
     def test_cache_graphs_one_entry_per_m(self, blob_dir, tmp_path):
         out = tmp_path / "sweep"

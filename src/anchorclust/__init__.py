@@ -36,7 +36,6 @@ from .solver import (
     fit,
     labels_from_F,
     objective,
-    svt,
     update_F,
     update_G,
     update_Z,
@@ -69,7 +68,6 @@ __all__ = [
     "reconstruct_top_k",
     "save_dataset",
     "select_anchors",
-    "svt",
     "synth_blobs",
     "update_F",
     "update_G",

@@ -242,11 +242,15 @@ def dataset_digest(ds: MultiViewDataset, normalize: bool) -> str:
 
 def save_anchor_set(anchor_set: AnchorSet, root_path, key: dict) -> None:
     """Cache anchors as an f64le dataset directory. The old key file goes
-    first and the new one last, so an interrupted save reads as a miss."""
-    key_path = Path(root_path) / ANCHOR_KEY_FILE
+    first and the new one last, so an interrupted save reads as a miss.
+    The graph CSVs and sidecar of an entry in the earlier format go too."""
+    root = Path(root_path)
+    key_path = root / ANCHOR_KEY_FILE
     entry = MultiViewDataset(views=anchor_set.anchors)
     try:
         key_path.unlink(missing_ok=True)
+        for old in [root / "anchor_graphs.json", *root.glob("graph*.csv")]:
+            old.unlink(missing_ok=True)
         dataset_mod.save_dataset(entry, root_path, fmt="f64le")
         key_path.write_text(json.dumps(key) + "\n", encoding="utf-8")
     except OSError as exc:

@@ -238,7 +238,8 @@ def build_graphs(cfg: RunConfig, ds, cache_dir: Path) -> GraphBuild:
 
 
 def solve_and_write(cfg: RunConfig, build: GraphBuild) -> dict:
-    """Solve on prebuilt graphs, write the run's outputs, return the record."""
+    """Solve on prebuilt graphs, write the run's outputs into the existing
+    output directory, return the record."""
     graphs = build.graphs
     sconfig = solver.SolverConfig(
         c=build.c,
@@ -274,7 +275,6 @@ def solve_and_write(cfg: RunConfig, build: GraphBuild) -> dict:
     }
     out = Path(cfg.output_dir)
     with _writing(out):
-        out.mkdir(parents=True, exist_ok=True)
         with open(out / "labels.txt", "w", encoding="utf-8") as fh:
             fh.writelines(f"{int(y)}\n" for y in result.labels)
         with open(out / "convergence.csv", "w", encoding="utf-8", newline="") as fh:
@@ -293,10 +293,14 @@ def solve_and_write(cfg: RunConfig, build: GraphBuild) -> dict:
 def run_fit(cfg: RunConfig, build: GraphBuild | None = None) -> dict:
     """Full pipeline for one configuration; returns the results record.
     Given the prebuilt graphs of a sweep's m, only the solve and the
-    writes run."""
+    writes run. The output directory is made first, so an unusable
+    --output fails before any load or solve."""
+    out = Path(cfg.output_dir)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     if build is None:
         ds = load_data(cfg)
-        build = build_graphs(cfg, ds, Path(cfg.output_dir) / "graphs")
+        build = build_graphs(cfg, ds, out / "graphs")
     return solve_and_write(cfg, build)
 
 

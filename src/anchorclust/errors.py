@@ -58,4 +58,7 @@ class RankDeficientWarning(UserWarning):
 
 
 class QpNotConvergedWarning(UserWarning):
-    """The view-weight solver hit its iteration cap; best iterate returned."""
+    """No longer raised: the view-weight step is an exact active-set solve.
+    The class stays only so that perfbench's traced
+    solver.qp_not_converged_warnings keeps reporting 0; it can go once
+    the benchmark drops that metric."""

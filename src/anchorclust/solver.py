@@ -7,17 +7,16 @@ Given V row-stochastic anchor graphs S_v (n x m), the solver minimizes
 
 over the consensus graph Z (n x m), a non-negative soft indicator
 F (n x c), a column-orthonormal basis G (m x c), and simplex view
-weights alpha. The F, G and Z updates are exact minimizers of their
-subproblems. The alpha QP is solved by projected gradient to QP_TOL, with
-a best-iterate fallback after QP_MAX_ITERS steps (an exact alpha step is
-open in ROADMAP.md); a single view skips it and keeps alpha = [1.0].
+weights alpha. Each block update is the exact minimizer of its
+subproblem, so the objective never rises; a single view skips the alpha
+step and keeps alpha = [1.0].
 
     F      max(Z G, 0)                          (separable clamp)
     G      U V^T from the SVD of Z^T F          (orthogonal Procrustes)
     Z      soft-threshold the singular values of
            M = (sum_v alpha_v S_v + gamma F G^T) / (1 + gamma)
            at tau = beta / (2 (1 + gamma))      (nuclear-norm prox)
-    alpha  projected gradient on a V-dim simplex QP
+    alpha  active-set solve of a V-dim simplex QP
 
 Hard labels are the row-argmax of F.
 
@@ -38,9 +37,8 @@ C_uv = S_u^T S_v, which GraphBundle computes once per fit:
 
 so a cycle costs O(n k V c + n c^2 + V^2 m^2 + V m^2 c + m^3), linear in
 n, and holds no n x m array. SolverState.Z builds the dense Z only when
-it is read (--save-graph, objective(), tests). The dense
-update_F/G/Z/alpha, svt and objective() stay the reference evaluators
-that the tests compare fit against.
+it is read (--save-graph, objective(), tests). The dense references
+that the tests compare fit against live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -53,19 +51,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .anchors import AnchorGraphSet
-from .errors import (
-    InvalidParameter,
-    NumericalBreakdown,
-    QpNotConvergedWarning,
-    RankDeficientWarning,
-)
+from .errors import InvalidParameter, NumericalBreakdown, RankDeficientWarning
 
 DEFAULT_BETA = 0.3
 DEFAULT_GAMMA = 0.1
-
-# Step cap and step tolerance of the view-weight QP (_simplex_qp).
-QP_MAX_ITERS = 1000
-QP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -250,7 +239,8 @@ class FactoredZ:
         return _FactoredZT(self)
 
     def dense(self) -> np.ndarray:
-        """The n x m matrix, by the arithmetic of update_Z and svt."""
+        """The n x m matrix, by the arithmetic of the dense SVT in
+        tests/oracles.py, so tau = 0 gives M bitwise."""
         M = mix_graphs(self.bundle.dense_graphs(), self.alpha)
         if self.gamma != 0.0:
             M = (M + self.gamma * (self.F @ self.G.T)) / (1.0 + self.gamma)
@@ -319,105 +309,79 @@ def update_G(Z, F: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
-def svt(M: np.ndarray, tau: float) -> np.ndarray:
-    """Singular value thresholding, the proximal operator of tau * ||.||_*.
-
-    Minimizes 0.5 ||Z - M||_F^2 + tau ||Z||_*. The SVD is taken through an
-    eigendecomposition of the small Gram matrix, so the cost stays
-    O(n m^2) for a tall n x m input.
-    """
-    if tau < 0:
-        raise InvalidParameter(f"tau must be >= 0, got {tau}")
-    M = np.asarray(M, dtype=np.float64)
-    if tau == 0.0:
-        return M.copy()
-    transposed = M.shape[0] < M.shape[1]
-    A = M.T if transposed else M
-    V, sigma = _gram_svd(A.T @ A)
-    keep = sigma > tau
-    if not keep.any():
-        return np.zeros_like(M)
-    V = V[:, keep]
-    sigma = sigma[keep]
-    U = (A @ V) / sigma
-    Z = (U * (sigma - tau)) @ V.T
-    return Z.T if transposed else Z
+def update_Z(bundle: GraphBundle, alpha: np.ndarray, F: np.ndarray, G: np.ndarray,
+             beta: float, gamma: float) -> FactoredZ:
+    """Exact Z-block minimizer: the SVT of the blended target, factored."""
+    return FactoredZ(bundle, alpha, F, G, gamma, beta / (2.0 * (1.0 + gamma)))
 
 
-def update_Z(graphs, alpha: np.ndarray, F: np.ndarray, G: np.ndarray,
-             beta: float, gamma: float):
-    """Exact Z-block minimizer: SVT of the blended target. Given a list of
-    dense graphs it returns the dense Z; given a GraphBundle, a FactoredZ."""
-    tau = beta / (2.0 * (1.0 + gamma))
-    if isinstance(graphs, GraphBundle):
-        return FactoredZ(graphs, alpha, F, G, gamma, tau)
-    M = mix_graphs(graphs, alpha)
-    if gamma != 0.0:
-        M = (M + gamma * (F @ G.T)) / (1.0 + gamma)
-    return svt(M, tau)
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based, exact)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ranks = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * ranks > (css - 1.0))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def update_alpha(graphs, Z) -> np.ndarray:
+def update_alpha(bundle: GraphBundle, Z: FactoredZ) -> np.ndarray:
     """View weights minimizing ||Z - sum_v alpha_v S_v||_F^2 on the simplex.
 
     Expanding the norm gives the QP  alpha^T Q alpha - alpha^T q  with
-    Q_uv = <S_u, S_v>_F and q_v = 2 <S_v, Z>_F. Given dense graphs and Z
-    both are formed here; given a GraphBundle and a FactoredZ they are
-    read off the precomputed cross-Grams and Z's factors.
+    Q_uv = <S_u, S_v>_F, read off the cross-Grams, and q_v = 2 <S_v, Z>_F,
+    read off Z's factors.
     """
-    if isinstance(graphs, GraphBundle):
-        if graphs.V == 1:
-            return np.ones(1)
-        Q, q = graphs.Q, 2.0 * Z.view_inner
-    else:
-        if len(graphs) == 1:
-            return np.ones(1)
-        flat = np.stack([S.ravel() for S in graphs])
-        Q = flat @ flat.T
-        q = 2.0 * (flat @ Z.ravel())
-    return _simplex_qp(Q, q)
+    return _simplex_qp(bundle.Q, 2.0 * Z.view_inner)
 
 
 def _simplex_qp(Q: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """min a^T Q a - a^T q on the simplex by projected gradient descent with
-    step 1/L, L = 2 lambda_max(Q), started from the uniform weights (so
-    symmetric ties resolve to the uniform point). Stops when no weight
-    moves by QP_TOL; after QP_MAX_ITERS steps it warns and returns the
-    best iterate."""
+    """Exact minimizer of a^T Q a - a^T q on the simplex, Q symmetric PSD,
+    by a primal active-set method (Nocedal and Wright, Numerical
+    Optimization, ch. 16) started at the uniform weights.
+
+    A pass moves the free weights in the null space of sum p = 0, written
+    p = N y with N = [I; -1^T], where the reduced Hessian N^T Q N has
+    eigenpairs (w, U) and the reduced gradient N^T g has coordinates s in U:
+      - along a flat direction (w = 0 to rounding) with s != 0 the
+        objective is linear, so the step follows it to the first bound;
+      - otherwise the step is the Newton step on the curved directions and
+        zero along the flat ones, cut at the first weight it zeroes.
+    A zeroed weight is held at 0. At a subspace minimizer the weights are
+    returned once every held weight's multiplier g_i - lambda is >= 0, and
+    else the most negative one is freed. Flat directions without gradient
+    take no step, so identical views keep the uniform weights exactly.
+
+    Between two frees the objective strictly falls, so no working set
+    recurs; V 2^V passes bound the method, and reaching the bound means
+    rounding made it cycle.
+    """
     V = q.size
-    L = 2.0 * max(float(np.linalg.eigvalsh(Q)[-1]), np.finfo(float).tiny)
-
-    def value(a):
-        return float(a @ Q @ a - a @ q)
-
-    alpha = np.full(V, 1.0 / V)
-    best, best_val = alpha, value(alpha)
-    for _ in range(QP_MAX_ITERS):
-        grad = 2.0 * (Q @ alpha) - q
-        nxt = project_simplex(alpha - grad / L)
-        nxt_val = value(nxt)
-        if nxt_val < best_val:
-            best, best_val = nxt, nxt_val
-        if np.max(np.abs(nxt - alpha)) < QP_TOL:
-            return nxt
-        alpha = nxt
-    warnings.warn(
-        f"view-weight QP did not reach tol={QP_TOL} in {QP_MAX_ITERS} "
-        "iterations; returning the best iterate",
-        QpNotConvergedWarning,
-        stacklevel=3,
-    )
-    return best
+    eps = V * np.finfo(float).eps
+    tol_w = 32.0 * eps * np.abs(Q).max()
+    tol_g = 32.0 * eps * (2.0 * np.abs(Q).max() + np.abs(q).max())
+    a = np.full(V, 1.0 / V)
+    free = np.ones(V, dtype=bool)
+    for _ in range(V << V):
+        idx = np.flatnonzero(free)
+        if idx.size > 1:
+            N = np.vstack([np.eye(idx.size - 1), -np.ones((1, idx.size - 1))])
+            g = 2.0 * (Q[idx] @ a) - q[idx]
+            w, U = np.linalg.eigh(N.T @ Q[np.ix_(idx, idx)] @ N)
+            s = U.T @ (N.T @ g)
+            down = (w <= tol_w) & (np.abs(s) > tol_g)
+            if down.any():
+                p, newton = -(N @ (U[:, down] @ s[down])), False
+                p /= np.abs(p).max()
+            else:
+                bent = w > tol_w
+                p, newton = -(N @ (U[:, bent] @ (s[bent] / (2.0 * w[bent])))), True
+            shrink = p < 0
+            steps = a[idx[shrink]] / -p[shrink]
+            if steps.size and (not newton or steps.min() <= 1.0):
+                j = np.argmin(steps)
+                hit = idx[shrink][j]
+                a[idx] = np.maximum(a[idx] + steps[j] * p, 0.0)
+                a[hit], free[hit] = 0.0, False
+                continue
+            a[idx] += p
+        g = 2.0 * (Q @ a) - q
+        mu = np.where(free, np.inf, g - g[free].mean())
+        j = np.argmin(mu)
+        if mu[j] >= -tol_g:
+            return a
+        free[j] = True
+    raise NumericalBreakdown(f"the view-weight active set cycled (V={V})")
 
 
 def nuclear_norm(Z: np.ndarray) -> float:

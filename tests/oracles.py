@@ -1,8 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here recomputes results by brute force or by a visibly
-different route (enumeration, grids, triple loops) and must stay free of
-calls into the code paths under test.
+different route (enumeration, grids, triple loops, dense n x m matrices)
+and must stay free of calls into the code paths under test. The one
+exception is dense_update_alpha: it forms the view-weight QP densely and
+hands it to the package's QP solve, which simplex_qp_by_enumeration
+checks on its own.
 """
 
 import itertools
@@ -10,13 +13,14 @@ import itertools
 import numpy as np
 
 from anchorclust.anchors import AnchorGraphSet
+from anchorclust.errors import InvalidParameter
 from anchorclust.solver import (
     SolverState,
+    _simplex_qp,
+    mix_graphs,
     objective,
-    update_alpha,
     update_F,
     update_G,
-    update_Z,
 )
 
 
@@ -53,6 +57,71 @@ def kkt_residual(M, tau, Z):
     Pr = np.eye(M.shape[1]) - Vt[:r].T @ Vt[:r]
     off = np.linalg.norm(Pl @ R @ Pr, 2)
     return on, off
+
+
+def svt(M, tau):
+    """Singular value thresholding, the proximal operator of tau * ||.||_*:
+    minimizes 0.5 ||Z - M||_F^2 + tau ||Z||_*. The SVD is taken through an
+    eigendecomposition of the small Gram matrix, with the arithmetic of
+    FactoredZ.dense."""
+    if tau < 0:
+        raise InvalidParameter(f"tau must be >= 0, got {tau}")
+    M = np.asarray(M, dtype=np.float64)
+    if tau == 0.0:
+        return M.copy()
+    transposed = M.shape[0] < M.shape[1]
+    A = M.T if transposed else M
+    lam, V = np.linalg.eigh(A.T @ A)
+    sigma = np.sqrt(np.clip(lam, 0.0, None))
+    keep = sigma > tau
+    if not keep.any():
+        return np.zeros_like(M)
+    V, sigma = V[:, keep], sigma[keep]
+    Z = ((A @ V) / sigma * (sigma - tau)) @ V.T
+    return Z.T if transposed else Z
+
+
+def dense_update_Z(graphs, alpha, F, G, beta, gamma):
+    """The Z block on a list of dense graphs: SVT of the blended target."""
+    M = mix_graphs(graphs, alpha)
+    if gamma != 0.0:
+        M = (M + gamma * (F @ G.T)) / (1.0 + gamma)
+    return svt(M, beta / (2.0 * (1.0 + gamma)))
+
+
+def dense_update_alpha(graphs, Z):
+    """The alpha block on dense graphs and a dense Z: the QP's Q and q
+    formed from the flattened matrices, solved by the package's QP."""
+    flat = np.stack([np.asarray(S).ravel() for S in graphs])
+    return _simplex_qp(flat @ flat.T, 2.0 * (flat @ np.asarray(Z).ravel()))
+
+
+def simplex_qp_by_enumeration(Q, q):
+    """min a^T Q a - a^T q on the simplex by solving the KKT system
+    [2 Q_ss, -c 1; c 1^T, 0] [a_s; lambda / c] = [q_s; c] on every one of
+    the 2^V - 1 supports s (least squares where it is singular; c scales
+    the border to Q) and keeping the best non-negative solution. A
+    minimizer of smallest support has a non-singular system, so it is
+    among the candidates."""
+    V = q.size
+    c = 2.0 * np.abs(Q).max() or 1.0
+    best, best_val = None, np.inf
+    for size in range(1, V + 1):
+        for support in itertools.combinations(range(V), size):
+            s = list(support)
+            K = np.zeros((size + 1, size + 1))
+            K[:size, :size] = 2.0 * Q[np.ix_(s, s)]
+            K[:size, size] = -c
+            K[size, :size] = c
+            sol = np.linalg.lstsq(K, np.append(q[s], c), rcond=None)[0]
+            if np.any(sol[:size] < 0):
+                continue
+            a = np.zeros(V)
+            a[s] = sol[:size]
+            val = float(a @ Q @ a - a @ q)
+            if val < best_val:
+                best, best_val = a, val
+    return best, best_val
 
 
 def alpha_grid_search(graphs, Z, step=1e-3):
@@ -128,8 +197,8 @@ def naive_reconstruction(S):
 
 
 def dense_reference_fit(graphs, config):
-    """fit's cycle replayed on dense n x m matrices with the public block
-    updates (update_F/G/Z/alpha) and objective(), from fit's initial draw;
+    """fit's cycle replayed on dense n x m matrices with update_F/G,
+    dense_update_Z/alpha and objective(), from fit's initial draw;
     a single view keeps alpha = [1.0]. Returns (objective history, labels,
     final state)."""
     S_list = [np.asarray(S, dtype=np.float64) for S in graphs.graphs]
@@ -147,10 +216,10 @@ def dense_reference_fit(graphs, config):
     for _ in range(config.max_iters):
         state.F = update_F(state.Z, state.G)
         state.G = update_G(state.Z, state.F)
-        state.Z = update_Z(S_list, state.alpha, state.F, state.G,
-                           config.beta, config.gamma)
+        state.Z = dense_update_Z(S_list, state.alpha, state.F, state.G,
+                                 config.beta, config.gamma)
         if V > 1:
-            state.alpha = update_alpha(S_list, state.Z)
+            state.alpha = dense_update_alpha(S_list, state.Z)
         history.append(objective(state, dense, config))
         if abs(history[-1] - history[-2]) / max(history[-2], 1e-12) < config.rel_tol:
             break

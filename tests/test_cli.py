@@ -12,6 +12,7 @@ import pytest
 from anchorclust import anchors as anchors_mod
 from anchorclust import cli
 from anchorclust import dataset as dataset_mod
+from anchorclust import solver as solver_mod
 from anchorclust.cli import PRESETS, main
 from anchorclust.dataset import (
     MultiViewDataset,
@@ -256,7 +257,13 @@ class TestFitCommand:
         ds = dataset_mod.load_dataset(blob_dir)
         graphs = anchors_mod.build_all(ds, anchors_mod.select_anchors(ds, 10), 3)
         entry = tmp_path / "run" / "graphs"
-        save_dataset(MultiViewDataset(views=graphs.graphs), entry)
+        entry.mkdir(parents=True)
+        views = []
+        for i, S in enumerate(graphs.graphs):
+            write_matrix_csv(S, entry / f"graph{i}.csv")
+            views.append({"name": f"graph{i}", "file": f"graph{i}.csv",
+                          "dims": graphs.m, "format": "csv"})
+        (entry / "meta.json").write_text(json.dumps({"n": ds.n, "views": views}))
         (entry / "anchor_graphs.json").write_text(json.dumps(
             {"m": 10, "k": 3, "seed": 0,
              "digest": anchors_mod.dataset_digest(ds, False)}))
@@ -265,6 +272,9 @@ class TestFitCommand:
         assert read_results(out)["graphs_cached"] is False
         for fname in ("labels.txt", "convergence.csv"):
             assert (out / fname).read_bytes() == (fresh / fname).read_bytes()
+        # the rebuild in place leaves none of the old entry's files
+        assert not (entry / "anchor_graphs.json").exists()
+        assert list(entry.glob("graph*.csv")) == []
         main(fit_args(blob_dir, out) + ["--cache-graphs"])
         assert read_results(out)["graphs_cached"] is True
 
@@ -276,11 +286,22 @@ class TestFitCommand:
         assert main(fit_args(blob_dir, out) + ["--cache-graphs"]) == 3
         assert "MalformedMeta" in capsys.readouterr().err
 
-    def test_output_path_is_a_file_exits_3(self, blob_dir, tmp_path, capsys):
+    def test_output_path_is_a_file_exits_3(self, blob_dir, tmp_path, capsys,
+                                           monkeypatch):
+        # the output directory is made before the dataset is loaded
+        loads = []
+        load = dataset_mod.load_dataset
+
+        def counting_load(root, *args, **kwargs):
+            loads.append(root)
+            return load(root, *args, **kwargs)
+
+        monkeypatch.setattr(dataset_mod, "load_dataset", counting_load)
         taken = tmp_path / "taken"
         taken.write_text("")
         assert main(fit_args(blob_dir, taken)) == 3
         assert "data error [IoError]" in capsys.readouterr().err
+        assert loads == []
 
     @pytest.mark.parametrize("meta", ["{not json", '{"n": 60}'])
     def test_corrupt_graph_cache_exits_3(self, blob_dir, tmp_path, capsys, meta):
@@ -596,7 +617,16 @@ class TestSweepCommand:
         assert capsys.readouterr().err == ""
 
     def test_unwritable_cells_fail_and_unwritable_report_exits_3(
-            self, blob_dir, tmp_path, capsys):
+            self, blob_dir, tmp_path, capsys, monkeypatch):
+        # a cell's directory is made before its solve
+        fits = []
+        fit = solver_mod.fit
+
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "fit", counting_fit)
         argv = ["--m-grid", "8", "--beta-grid", "0.2", "--gamma-grid", "0.1,1.0",
                 "--c", "3", "--max-iters", "5"]
         out = tmp_path / "sweep"
@@ -606,6 +636,7 @@ class TestSweepCommand:
         rows = read_sweep_report(out / "sweep.csv")
         assert [r["status"] for r in rows] == ["failed", "failed"]
         assert all(r["error"].startswith("IoError: ") for r in rows)
+        assert fits == []
         taken = tmp_path / "taken"
         taken.write_text("")
         capsys.readouterr()

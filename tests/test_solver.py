@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from oracles import (
     alpha_grid_search,
     dense_reference_fit,
+    dense_update_alpha,
+    dense_update_Z,
     kkt_residual,
     random_graph_set,
     random_orthonormal,
     random_stochastic,
+    simplex_qp_by_enumeration,
+    svt,
 )
 
 from anchorclust import solver
@@ -27,12 +31,9 @@ from anchorclust.solver import (
     labels_from_F,
     mix_graphs,
     objective,
-    project_simplex,
-    svt,
     update_F,
     update_G,
     update_Z,
-    update_alpha,
 )
 
 
@@ -135,7 +136,7 @@ class TestUpdateZ:
         F = np.abs(np.random.default_rng(1).standard_normal((8, 2)))
         G = random_orthonormal(4, 2, seed=2)
         alpha = np.array([0.3, 0.7])
-        Z = update_Z(gs.graphs, alpha, F, G, beta=0.0, gamma=0.5)
+        Z = dense_update_Z(gs.graphs, alpha, F, G, beta=0.0, gamma=0.5)
         M = (mix_graphs(gs.graphs, alpha) + 0.5 * F @ G.T) / 1.5
         assert np.array_equal(Z, M)
 
@@ -144,7 +145,7 @@ class TestUpdateZ:
         S = gs.graphs[0]
         F = np.abs(np.random.default_rng(4).standard_normal((6, 2)))
         G = random_orthonormal(3, 2, seed=5)
-        Z = update_Z(gs.graphs, np.array([1.0]), F, G, beta=0.4, gamma=0.0)
+        Z = dense_update_Z(gs.graphs, np.array([1.0]), F, G, beta=0.4, gamma=0.0)
         assert np.array_equal(Z, svt(S, 0.2))
 
     def test_beats_random_perturbations(self):
@@ -154,7 +155,7 @@ class TestUpdateZ:
         G = random_orthonormal(4, 3, seed=8)
         alpha = np.array([0.4, 0.6])
         beta, gamma = 0.3, 0.2
-        Z = update_Z(gs.graphs, alpha, F, G, beta, gamma)
+        Z = dense_update_Z(gs.graphs, alpha, F, G, beta, gamma)
         base = zblock_value(Z, gs.graphs, alpha, F, G, beta, gamma)
         for _ in range(1000):
             scale = 10.0 ** rng.uniform(-4, -1)
@@ -173,7 +174,7 @@ class TestUpdateZ:
         tau = beta / (2 * (1 + gamma))
         s_m = np.linalg.svd(M, compute_uv=False)
         assert (s_m[-1] < tau) == expect_strict  # instance chosen to hit both sides
-        Z = update_Z(gs.graphs, alpha, F, G, beta, gamma)
+        Z = dense_update_Z(gs.graphs, alpha, F, G, beta, gamma)
         s_z = np.linalg.svd(Z, compute_uv=False)
         rank = lambda s: int((s > 1e-8).sum())
         assert rank(s_z) <= rank(s_m)
@@ -181,38 +182,22 @@ class TestUpdateZ:
             assert rank(s_z) < rank(s_m)
 
 
-class TestProjectSimplex:
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=8))
-    def test_lands_on_simplex(self, values):
-        x = project_simplex(np.asarray(values))
-        assert np.all(x >= 0)
-        assert x.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_nearest_point(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            v = rng.uniform(-2, 2, size=4)
-            x = project_simplex(v)
-            base = np.sum((x - v) ** 2)
-            # any other simplex point is no closer
-            probes = rng.dirichlet(np.ones(4), size=200)
-            assert np.all(base <= np.sum((probes - v) ** 2, axis=1) + 1e-12)
-
-    def test_already_feasible_fixed(self):
-        v = np.array([0.2, 0.3, 0.5])
-        assert np.allclose(project_simplex(v), v, atol=1e-15)
+def qp_value(Q, q, a):
+    return float(a @ Q @ a - a @ q)
 
 
 class TestUpdateAlpha:
     def test_single_view_trivial(self):
         gs = random_graph_set(5, 3, 1, seed=0)
-        assert np.array_equal(update_alpha(gs.graphs, gs.graphs[0]), [1.0])
+        assert np.array_equal(dense_update_alpha(gs.graphs, gs.graphs[0]), [1.0])
 
     def test_identical_graphs_stay_uniform(self):
+        # Q is singular; the flat direction takes no step
         S = random_graph_set(6, 3, 1, seed=1).graphs[0]
-        alpha = update_alpha([S, S.copy()], S)
-        assert alpha == pytest.approx([0.5, 0.5], abs=1e-9)
+        assert np.array_equal(dense_update_alpha([S, S.copy()], S), [0.5, 0.5])
+        Z = svt(S, 0.05)
+        assert np.array_equal(dense_update_alpha([S, S.copy(), S.copy()], Z),
+                              np.full(3, 1.0 / 3.0))
 
     def test_orthogonal_graphs_pick_matching_view(self):
         # disjoint anchor support makes the graphs Frobenius-orthogonal
@@ -221,36 +206,43 @@ class TestUpdateAlpha:
         S1[:, 0] = 1.0
         S2 = np.zeros((n, 4))
         S2[:, 2] = 1.0
-        alpha = update_alpha([S1, S2], S1.copy())
+        alpha = dense_update_alpha([S1, S2], S1.copy())
         best = alpha_grid_search([S1, S2], S1)
         assert np.max(np.abs(alpha - best)) <= 1e-3 + 1e-9
-        assert alpha[0] == pytest.approx(1.0, abs=1e-6)
+        assert np.array_equal(alpha, [1.0, 0.0])
 
     @pytest.mark.parametrize("V", [2, 3])
     def test_matches_grid_search(self, V):
         for seed in range(6):
             gs = random_graph_set(9, 4, V, seed=seed)
             Z = svt(mix_graphs(gs.graphs, np.full(V, 1.0 / V)), 0.05)
-            alpha = update_alpha(gs.graphs, Z)
+            alpha = dense_update_alpha(gs.graphs, Z)
             best = alpha_grid_search(gs.graphs, Z)
             assert np.max(np.abs(alpha - best)) <= 1e-3 + 1e-9
 
-    def test_iteration_cap_warns_and_returns_best(self, monkeypatch):
-        from anchorclust.errors import QpNotConvergedWarning
-
-        monkeypatch.setattr(solver, "QP_MAX_ITERS", 1)
-        n = 10
-        S1 = np.zeros((n, 4))
-        S1[:, 0] = 1.0
-        S2 = np.zeros((n, 4))
-        S2[:, 2] = 1.0
-        with pytest.warns(QpNotConvergedWarning):
-            alpha = update_alpha([S1, S2], S1.copy())
-        assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(V=st.integers(2, 6), rank=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_support_enumeration(self, V, rank, seed):
+        # PSD Q of every rank up to V; q pulls toward a simplex point, plus
+        # noise from 1e-3 to 1e2, so the optimum may sit on any face (about
+        # 1 in 20 draws frees a weight that a pass had zeroed)
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((V, min(rank, V)))
+        Q = B @ B.T
+        noise = 10.0 ** rng.uniform(-3.0, 2.0)
+        q = 2.0 * Q @ rng.dirichlet(np.ones(V)) + noise * rng.standard_normal(V)
+        alpha = solver._simplex_qp(Q, q)
+        _, want = simplex_qp_by_enumeration(Q, q)
+        scale = np.abs(Q).max() + np.abs(q).max()
+        assert qp_value(Q, q, alpha) - want <= 1e-12 * max(abs(want), scale)
         assert np.all(alpha >= 0)
-        # the single step still moved toward the matching view
-        assert alpha[0] > 0.5
-
+        assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
+        # KKT: equal gradients on the support, none lower off it
+        g = 2.0 * Q @ alpha - q
+        on = alpha > 0
+        lam = g[on].mean()
+        assert np.max(np.abs(g[on] - lam)) <= 1e-9 * scale
+        assert np.all(g[~on] - lam >= -1e-9 * scale)
 
 class TestObjective:
     def test_zero_everything(self):
@@ -286,7 +278,7 @@ class TestObjective:
             state.Z = rng.standard_normal((7, 4))
             state.F = np.abs(rng.standard_normal((7, 2)))
             state.G = random_orthonormal(4, 2, seed=seed + 99)
-            state.alpha = project_simplex(rng.standard_normal(3))
+            state.alpha = rng.dirichlet(np.ones(3))
 
             blend = sum(a * S for a, S in zip(state.alpha, gs.graphs))
             by_hand = (
@@ -387,9 +379,9 @@ class TestFit:
         for _ in range(10):
             state.F = update_F(state.Z, state.G)
             state.G = update_G(state.Z, state.F)
-            state.Z = update_Z(gs.graphs, state.alpha, state.F, state.G,
-                               cfg.beta, cfg.gamma)
-            state.alpha = update_alpha(gs.graphs, state.Z)
+            state.Z = dense_update_Z(gs.graphs, state.alpha, state.F, state.G,
+                                     cfg.beta, cfg.gamma)
+            state.alpha = dense_update_alpha(gs.graphs, state.Z)
             assert np.all(state.F >= 0)
             assert np.max(np.abs(state.G.T @ state.G - np.eye(3))) < 1e-8
             assert np.all(state.alpha >= 0)

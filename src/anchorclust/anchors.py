@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import dataset as dataset_mod
 from .dataset import MultiViewDataset
@@ -59,20 +60,35 @@ class AnchorSet:
 
 @dataclass(frozen=True)
 class AnchorGraphSet:
-    """V dense n x m row-stochastic sample-to-anchor graphs."""
+    """V n x m row-stochastic sample-to-anchor graphs as CSR (dense ones are
+    converted), and what the solver needs of them, computed once: the
+    block row H = [S_1 ... S_V] (n x Vm), its transpose Ht, the cross-Grams
+    C[v, u] = S_v^T S_u (m x m) and Q_vu = <S_v, S_u>_F = tr(C[v, u])."""
 
-    graphs: list[np.ndarray]
+    graphs: list
     k: int
 
     def __post_init__(self):
         if not self.graphs:
             raise InvalidParameter("graph set needs at least one graph")
-        n, m = self.graphs[0].shape
-        for i, S in enumerate(self.graphs):
+        graphs = [S if isinstance(S, sp.csr_array) else sp.csr_array(S)
+                  for S in self.graphs]
+        n, m = graphs[0].shape
+        for i, S in enumerate(graphs):
             if S.shape != (n, m):
                 raise ShapeMismatch(
                     f"graph {i} has shape {S.shape}, expected {(n, m)}"
                 )
+        V = len(graphs)
+        H = sp.hstack(graphs, format="csr")
+        Ht = H.T.tocsr()
+        C = (Ht @ H).toarray().reshape(V, m, V, m)
+        C = np.ascontiguousarray(C.transpose(0, 2, 1, 3))
+        object.__setattr__(self, "graphs", graphs)
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "Ht", Ht)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "Q", np.einsum("vuii->vu", C))
 
     @property
     def n(self) -> int:
@@ -85,6 +101,22 @@ class AnchorGraphSet:
     @property
     def num_views(self) -> int:
         return len(self.graphs)
+
+    def mix_times(self, alpha: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """(sum_v alpha_v S_v) X for an m x c block X."""
+        return self.H @ (alpha[:, None, None] * X).reshape(-1, X.shape[1])
+
+    def each_t_times(self, Y: np.ndarray) -> np.ndarray:
+        """The V products S_v^T Y of an n x c block Y, as a V x m x c array."""
+        return (self.Ht @ Y).reshape(self.num_views, self.m, Y.shape[1])
+
+    def mixture(self, alpha: np.ndarray) -> np.ndarray:
+        """sum_v alpha_v S_v as a dense n x m array; the only place the
+        graphs are made dense."""
+        Z = alpha[0] * self.graphs[0].toarray()
+        for a, S in zip(alpha[1:], self.graphs[1:]):
+            Z += a * S.toarray()
+        return Z
 
 
 def _sq_dists(X: np.ndarray, C: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
@@ -179,8 +211,9 @@ def select_anchors(
     return AnchorSet(anchors=anchors, m=m, kmeans_iters_used=iters_used)
 
 
-def build_anchor_graph(X: np.ndarray, anchors: np.ndarray, k: int) -> np.ndarray:
-    """Normalized k-NN anchor graph of one view (see module docstring)."""
+def build_anchor_graph(X: np.ndarray, anchors: np.ndarray, k: int) -> sp.csr_array:
+    """Normalized k-NN anchor graph of one view (see module docstring), as
+    CSR with sorted column indices and no stored zeros."""
     X = np.asarray(X, dtype=np.float64)
     anchors = np.asarray(anchors, dtype=np.float64)
     if anchors.shape[1:] != X.shape[1:]:
@@ -212,8 +245,10 @@ def build_anchor_graph(X: np.ndarray, anchors: np.ndarray, k: int) -> np.ndarray
     weights = (phi_kp1[:, None] - top) / den_safe[:, None]
     weights[degenerate] = 1.0 / k
 
-    S = np.zeros((n, m))
-    np.put_along_axis(S, order[:, :k], weights, axis=1)
+    indptr = np.arange(0, n * k + 1, k)
+    S = sp.csr_array((weights.ravel(), order[:, :k].ravel(), indptr), shape=(n, m))
+    S.sort_indices()
+    S.eliminate_zeros()
     return S
 
 

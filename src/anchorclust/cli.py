@@ -192,7 +192,6 @@ class GraphBuild:
     graphs: anchors_mod.AnchorGraphSet
     labels: np.ndarray | None
     c: int
-    k: int
     seconds: float
     cached: bool
 
@@ -234,7 +233,7 @@ def build_graphs(cfg: RunConfig, ds, cache_dir: Path) -> GraphBuild:
         if cfg.cache_graphs:
             anchors_mod.save_anchor_set(anchor_set, cache_dir, key)
     gs = anchors_mod.build_all(ds, anchor_set, k)
-    return GraphBuild(gs, ds.labels, c, k, time.perf_counter() - t0, cached)
+    return GraphBuild(gs, ds.labels, c, time.perf_counter() - t0, cached)
 
 
 def solve_and_write(cfg: RunConfig, build: GraphBuild) -> dict:
@@ -267,7 +266,7 @@ def solve_and_write(cfg: RunConfig, build: GraphBuild) -> dict:
         "num_views": graphs.num_views,
         "c": build.c,
         "m": graphs.m,
-        "k": build.k,
+        "k": graphs.k,
         "beta": cfg.beta,
         "gamma": cfg.gamma,
         "seed": cfg.seed,

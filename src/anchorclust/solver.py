@@ -25,7 +25,7 @@ M^T M, so a Z step yields Z = M P with P = V diag((sigma - tau)/sigma) V^T
 (m x m), and FactoredZ keeps Z as (alpha, F, G, P). Every quantity a
 cycle needs reduces to products of the sparse graphs (k nonzeros per row)
 with n x c blocks, or to m x m algebra on the cross-Grams
-C_uv = S_u^T S_v, which GraphBundle computes once per fit:
+C_uv = S_u^T S_v, which the AnchorGraphSet computes once when built:
 
     Z G, Z^T F           sparse S_v times an m x c or n x c block
     M^T M, S_v^T M       from C_uv, S_v^T F, F^T F and G
@@ -48,7 +48,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .anchors import AnchorGraphSet
 from .errors import InvalidParameter, NumericalBreakdown, RankDeficientWarning
@@ -113,41 +112,6 @@ class ClusteringResult:
     converged: bool
 
 
-def mix_graphs(graphs: list[np.ndarray], alpha: np.ndarray) -> np.ndarray:
-    """Weighted sum of the per-view graphs."""
-    Z = alpha[0] * graphs[0]
-    for a, S in zip(alpha[1:], graphs[1:]):
-        Z += a * S
-    return Z
-
-
-class GraphBundle:
-    """The V graphs as one sparse n x Vm block row H = [S_1 ... S_V], its
-    transpose, and the constant cross-Grams: C[v, u] = S_v^T S_u (m x m)
-    and Q_vu = <S_v, S_u>_F = tr(C[v, u]). Built once per fit."""
-
-    def __init__(self, graphs: list):
-        self.graphs = list(graphs)
-        self.V, self.m = len(self.graphs), self.graphs[0].shape[1]
-        self.H = sp.hstack([sp.csr_array(S) for S in self.graphs], format="csr")
-        self.Ht = self.H.T.tocsr()
-        V, m = self.V, self.m
-        C = (self.Ht @ self.H).toarray().reshape(V, m, V, m)
-        self.C = np.ascontiguousarray(C.transpose(0, 2, 1, 3))
-        self.Q = np.einsum("vuii->vu", self.C)
-
-    def mix_times(self, alpha: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """(sum_v alpha_v S_v) X for an m x c block X."""
-        return self.H @ (alpha[:, None, None] * X).reshape(-1, X.shape[1])
-
-    def each_t_times(self, Y: np.ndarray) -> np.ndarray:
-        """The V products S_v^T Y of an n x c block Y, as a V x m x c array."""
-        return (self.Ht @ Y).reshape(self.V, self.m, Y.shape[1])
-
-    def dense_graphs(self) -> list[np.ndarray]:
-        return [S.toarray() if sp.issparse(S) else np.asarray(S) for S in self.graphs]
-
-
 def _gram_svd(gram: np.ndarray):
     """Right singular vectors and singular values of a matrix whose Gram
     matrix is `gram`, by its eigendecomposition."""
@@ -175,13 +139,13 @@ class FactoredZ:
     when it is small next to ||Z||^2 (small beta and gamma).
     """
 
-    def __init__(self, bundle: GraphBundle, alpha, F, G, gamma: float, tau: float):
-        self.bundle, self.alpha, self.F, self.G = bundle, alpha, F, G
+    def __init__(self, graphs: AnchorGraphSet, alpha, F, G, gamma: float, tau: float):
+        self.graphs, self.alpha, self.F, self.G = graphs, alpha, F, G
         self.gamma, self.tau = gamma, tau
-        Q = bundle.Q
-        B = bundle.each_t_times(F)                        # S_v^T F
+        Q = graphs.Q
+        B = graphs.each_t_times(F)                        # S_v^T F
         FtF = F.T @ F
-        SvtM = np.einsum("vuij,u->vij", bundle.C, alpha)  # S_v^T M, gamma = 0
+        SvtM = np.einsum("vuij,u->vij", graphs.C, alpha)  # S_v^T M, gamma = 0
         MtF = np.tensordot(alpha, B, axes=1)              # M^T F, gamma = 0
         if gamma != 0.0:
             SvtM = (SvtM + gamma * (B @ G.T)) / (1.0 + gamma)
@@ -229,7 +193,7 @@ class FactoredZ:
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
         if self.P is not None:
             X = self.P @ X
-        out = self.bundle.mix_times(self.alpha, X)
+        out = self.graphs.mix_times(self.alpha, X)
         if self.gamma != 0.0:
             out = (out + self.gamma * (self.F @ (self.G.T @ X))) / (1.0 + self.gamma)
         return out
@@ -241,7 +205,7 @@ class FactoredZ:
     def dense(self) -> np.ndarray:
         """The n x m matrix, by the arithmetic of the dense SVT in
         tests/oracles.py, so tau = 0 gives M bitwise."""
-        M = mix_graphs(self.bundle.dense_graphs(), self.alpha)
+        M = self.graphs.mixture(self.alpha)
         if self.gamma != 0.0:
             M = (M + self.gamma * (self.F @ self.G.T)) / (1.0 + self.gamma)
         if self.P is None:
@@ -260,7 +224,7 @@ class _FactoredZT:
 
     def __matmul__(self, Y: np.ndarray) -> np.ndarray:
         Z = self.Z
-        MtY = np.tensordot(Z.alpha, Z.bundle.each_t_times(Y), axes=1)
+        MtY = np.tensordot(Z.alpha, Z.graphs.each_t_times(Y), axes=1)
         if Z.gamma != 0.0:
             MtY = (MtY + Z.gamma * (Z.G @ (Z.F.T @ Y))) / (1.0 + Z.gamma)
         return MtY if Z.P is None else Z.P @ MtY
@@ -284,7 +248,7 @@ def init_state(graphs: AnchorGraphSet, config: SolverConfig) -> SolverState:
         G[:, :m] = Q
     else:
         G = Q
-    Z = FactoredZ(GraphBundle(graphs.graphs), alpha, F, G, gamma=0.0, tau=0.0)
+    Z = FactoredZ(graphs, alpha, F, G, gamma=0.0, tau=0.0)
     return SolverState(Z=Z, F=F, G=G, alpha=alpha)
 
 
@@ -309,20 +273,20 @@ def update_G(Z, F: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
-def update_Z(bundle: GraphBundle, alpha: np.ndarray, F: np.ndarray, G: np.ndarray,
+def update_Z(graphs: AnchorGraphSet, alpha: np.ndarray, F: np.ndarray, G: np.ndarray,
              beta: float, gamma: float) -> FactoredZ:
     """Exact Z-block minimizer: the SVT of the blended target, factored."""
-    return FactoredZ(bundle, alpha, F, G, gamma, beta / (2.0 * (1.0 + gamma)))
+    return FactoredZ(graphs, alpha, F, G, gamma, beta / (2.0 * (1.0 + gamma)))
 
 
-def update_alpha(bundle: GraphBundle, Z: FactoredZ) -> np.ndarray:
+def update_alpha(graphs: AnchorGraphSet, Z: FactoredZ) -> np.ndarray:
     """View weights minimizing ||Z - sum_v alpha_v S_v||_F^2 on the simplex.
 
     Expanding the norm gives the QP  alpha^T Q alpha - alpha^T q  with
     Q_uv = <S_u, S_v>_F, read off the cross-Grams, and q_v = 2 <S_v, Z>_F,
     read off Z's factors.
     """
-    return _simplex_qp(bundle.Q, 2.0 * Z.view_inner)
+    return _simplex_qp(graphs.Q, 2.0 * Z.view_inner)
 
 
 def _simplex_qp(Q: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -391,7 +355,7 @@ def nuclear_norm(Z: np.ndarray) -> float:
 def objective(state: SolverState, graphs: AnchorGraphSet, config: SolverConfig) -> float:
     """Value of the full objective at the given state, from the dense Z."""
     Z, F, G = state.Z, state.F, state.G
-    fit_term = float(np.sum((Z - mix_graphs(graphs.graphs, state.alpha)) ** 2))
+    fit_term = float(np.sum((Z - graphs.mixture(state.alpha)) ** 2))
     factor_term = float(np.sum((Z - F @ G.T) ** 2))
     return fit_term + config.beta * nuclear_norm(Z) + config.gamma * factor_term
 
@@ -403,7 +367,7 @@ def _objective(Z: FactoredZ, alpha: np.ndarray, beta: float, gamma: float) -> fl
         Z - S_alpha = (Z - M) + k D + S_d
         Z - F G^T   = (Z - M) - (1 - k) D
     """
-    Q = Z.bundle.Q
+    Q = Z.graphs.Q
     k = Z.gamma / (1.0 + Z.gamma)
     d = Z.alpha - alpha
     fit_term = (Z.res_sq + k * k * Z.D_sq + float(d @ Q @ d) + 2.0 * k * Z.res_D
@@ -425,7 +389,6 @@ def fit(graphs: AnchorGraphSet, config: SolverConfig) -> ClusteringResult:
     t0 = time.perf_counter()
     state = init_state(graphs, config)
     Z = state._Z
-    bundle = Z.bundle
     beta, gamma = config.beta, config.gamma
 
     try:
@@ -440,10 +403,10 @@ def fit(graphs: AnchorGraphSet, config: SolverConfig) -> ClusteringResult:
         try:
             state.F = update_F(Z, state.G)
             state.G = update_G(Z, state.F)
-            Z = update_Z(bundle, state.alpha, state.F, state.G, beta, gamma)
+            Z = update_Z(graphs, state.alpha, state.F, state.G, beta, gamma)
             state.Z = Z
             if graphs.num_views > 1:
-                state.alpha = update_alpha(bundle, Z)
+                state.alpha = update_alpha(graphs, Z)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown(
                 f"linear algebra failed at cycle {cycle}: {exc}"

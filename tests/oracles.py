@@ -2,22 +2,24 @@
 
 Everything here recomputes results by brute force or by a visibly
 different route (enumeration, grids, triple loops, dense n x m matrices)
-and must stay free of calls into the code paths under test. The one
-exception is dense_update_alpha: it forms the view-weight QP densely and
+and must stay free of calls into the code paths under test. There are two
+exceptions. dense_update_alpha forms the view-weight QP densely and
 hands it to the package's QP solve, which simplex_qp_by_enumeration
-checks on its own.
+checks on its own. dense_anchor_graph takes the package's distances, so
+that it pins how the build stores the graph, tie order included.
+Graphs may be passed dense or sparse; they are made dense on reading.
 """
 
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
-from anchorclust.anchors import AnchorGraphSet
+from anchorclust.anchors import AnchorGraphSet, _sq_dists
 from anchorclust.errors import InvalidParameter
 from anchorclust.solver import (
     SolverState,
     _simplex_qp,
-    mix_graphs,
     objective,
     update_F,
     update_G,
@@ -40,6 +42,35 @@ def random_graph_set(n, m, V, seed, sparsity=3.0):
         graphs=[random_stochastic(n, m, seed * 1000 + v, sparsity) for v in range(V)],
         k=0,
     )
+
+
+def dense(S):
+    """A graph as a dense array, whether it is stored sparse or dense."""
+    return S.toarray() if sp.issparse(S) else np.asarray(S, dtype=np.float64)
+
+
+def mix_graphs(graphs, alpha):
+    """Weighted sum of the per-view graphs, as a dense array."""
+    Z = alpha[0] * dense(graphs[0])
+    for a, S in zip(alpha[1:], graphs[1:]):
+        Z += a * dense(S)
+    return Z
+
+
+def dense_anchor_graph(X, anchors, k):
+    """The anchor graph as a dense n x m array, filled by put_along_axis
+    from the stable distance order: the reference for the CSR build."""
+    d2 = _sq_dists(X, anchors)
+    order = np.argsort(d2, axis=1, kind="stable")
+    phi = np.take_along_axis(d2, order, axis=1)
+    top, phi_kp1 = phi[:, :k], phi[:, k]
+    den = k * phi_kp1 - top.sum(axis=1)
+    degenerate = den <= 0.0
+    weights = (phi_kp1[:, None] - top) / np.where(degenerate, 1.0, den)[:, None]
+    weights[degenerate] = 1.0 / k
+    S = np.zeros((X.shape[0], anchors.shape[0]))
+    np.put_along_axis(S, order[:, :k], weights, axis=1)
+    return S
 
 
 def kkt_residual(M, tau, Z):
@@ -82,7 +113,7 @@ def svt(M, tau):
 
 
 def dense_update_Z(graphs, alpha, F, G, beta, gamma):
-    """The Z block on a list of dense graphs: SVT of the blended target."""
+    """The Z block on dense copies of the graphs: SVT of the blended target."""
     M = mix_graphs(graphs, alpha)
     if gamma != 0.0:
         M = (M + gamma * (F @ G.T)) / (1.0 + gamma)
@@ -90,9 +121,10 @@ def dense_update_Z(graphs, alpha, F, G, beta, gamma):
 
 
 def dense_update_alpha(graphs, Z):
-    """The alpha block on dense graphs and a dense Z: the QP's Q and q
-    formed from the flattened matrices, solved by the package's QP."""
-    flat = np.stack([np.asarray(S).ravel() for S in graphs])
+    """The alpha block on dense copies of the graphs and a dense Z: the
+    QP's Q and q formed from the flattened matrices, solved by the
+    package's QP."""
+    flat = np.stack([dense(S).ravel() for S in graphs])
     return _simplex_qp(flat @ flat.T, 2.0 * (flat @ np.asarray(Z).ravel()))
 
 
@@ -127,7 +159,7 @@ def simplex_qp_by_enumeration(Q, q):
 def alpha_grid_search(graphs, Z, step=1e-3):
     """Exhaustive minimizer of the view-weight objective on a simplex grid."""
     V = len(graphs)
-    flat = np.stack([S.ravel() for S in graphs])
+    flat = np.stack([dense(S).ravel() for S in graphs])
     Q = flat @ flat.T
     q = 2.0 * (flat @ Z.ravel())
     ticks = np.arange(0.0, 1.0 + step / 2, step)
@@ -201,7 +233,7 @@ def dense_reference_fit(graphs, config):
     dense_update_Z/alpha and objective(), from fit's initial draw;
     a single view keeps alpha = [1.0]. Returns (objective history, labels,
     final state)."""
-    S_list = [np.asarray(S, dtype=np.float64) for S in graphs.graphs]
+    S_list = [dense(S) for S in graphs.graphs]
     V, (n, m), c = len(S_list), S_list[0].shape, config.c
     alpha = np.full(V, 1.0 / V)
     rng = np.random.default_rng(config.seed)
@@ -210,9 +242,8 @@ def dense_reference_fit(graphs, config):
     G = np.zeros((m, c))
     G[:, : basis.shape[1]] = basis
     Z = sum(a * S for a, S in zip(alpha, S_list))
-    dense = AnchorGraphSet(graphs=S_list, k=graphs.k)
     state = SolverState(Z=Z, F=F, G=G, alpha=alpha)
-    history = [objective(state, dense, config)]
+    history = [objective(state, graphs, config)]
     for _ in range(config.max_iters):
         state.F = update_F(state.Z, state.G)
         state.G = update_G(state.Z, state.F)
@@ -220,7 +251,7 @@ def dense_reference_fit(graphs, config):
                                  config.beta, config.gamma)
         if V > 1:
             state.alpha = dense_update_alpha(S_list, state.Z)
-        history.append(objective(state, dense, config))
+        history.append(objective(state, graphs, config))
         if abs(history[-1] - history[-2]) / max(history[-2], 1e-12) < config.rel_tol:
             break
     return history, np.argmax(state.F, axis=1), state

@@ -22,6 +22,7 @@ from oracles import (
     dense_reference_fit,
     dense_update_alpha,
     kkt_residual,
+    mix_graphs,
     naive_reconstruction,
     pair_counts_by_enumeration,
     random_graph_set,
@@ -37,7 +38,6 @@ from anchorclust.metrics import accuracy, ari, evaluate_all, nmi, pairwise_f_pre
 from anchorclust.solver import (
     SolverConfig,
     fit,
-    mix_graphs,
     update_F,
     update_G,
 )

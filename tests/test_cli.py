@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from anchorclust import anchors as anchors_mod
 from anchorclust import cli
@@ -260,7 +261,7 @@ class TestFitCommand:
         entry.mkdir(parents=True)
         views = []
         for i, S in enumerate(graphs.graphs):
-            write_matrix_csv(S, entry / f"graph{i}.csv")
+            write_matrix_csv(S.toarray(), entry / f"graph{i}.csv")
             views.append({"name": f"graph{i}", "file": f"graph{i}.csv",
                           "dims": graphs.m, "format": "csv"})
         (entry / "meta.json").write_text(json.dumps({"n": ds.n, "views": views}))
@@ -584,6 +585,26 @@ class TestSweepCommand:
         assert code == 0
         assert calls["load"] == 1
         assert sorted(calls["select"]) == [8, 10]
+
+    def test_cells_share_one_graph_set_per_m(self, blob_dir, tmp_path,
+                                            monkeypatch):
+        # each graph set stacks its graphs into the block row once and
+        # takes the cross-Grams from it; the 4 cells of an m reuse them
+        stacks = []
+        hstack = sp.hstack
+
+        def counting_hstack(*args, **kwargs):
+            stacks.append(1)
+            return hstack(*args, **kwargs)
+
+        monkeypatch.setenv("ANCHORCLUST_WORKERS", "1")
+        monkeypatch.setattr(sp, "hstack", counting_hstack)
+        code = main(["sweep", str(blob_dir), "--output", str(tmp_path / "sweep"),
+                     "--m-grid", "8,10", "--beta-grid", "0.2,1.0",
+                     "--gamma-grid", "0.01,0.1", "--c", "3", "--max-iters", "5"])
+        assert code == 0
+        assert len(read_sweep_report(tmp_path / "sweep" / "sweep.csv")) == 8
+        assert len(stacks) == 2
 
     def test_missing_dataset_fails_every_cell(self, tmp_path):
         out = tmp_path / "sweep"

@@ -11,6 +11,7 @@ from oracles import (
     dense_update_alpha,
     dense_update_Z,
     kkt_residual,
+    mix_graphs,
     random_graph_set,
     random_orthonormal,
     random_stochastic,
@@ -24,12 +25,10 @@ from anchorclust.dataset import synth_blobs
 from anchorclust.errors import InvalidParameter, NumericalBreakdown
 from anchorclust.metrics import accuracy
 from anchorclust.solver import (
-    GraphBundle,
     SolverConfig,
     fit,
     init_state,
     labels_from_F,
-    mix_graphs,
     objective,
     update_F,
     update_G,
@@ -142,7 +141,7 @@ class TestUpdateZ:
 
     def test_gamma_zero_single_view_reduction(self):
         gs = random_graph_set(6, 3, 1, seed=3)
-        S = gs.graphs[0]
+        S = gs.graphs[0].toarray()
         F = np.abs(np.random.default_rng(4).standard_normal((6, 2)))
         G = random_orthonormal(3, 2, seed=5)
         Z = dense_update_Z(gs.graphs, np.array([1.0]), F, G, beta=0.4, gamma=0.0)
@@ -189,11 +188,11 @@ def qp_value(Q, q, a):
 class TestUpdateAlpha:
     def test_single_view_trivial(self):
         gs = random_graph_set(5, 3, 1, seed=0)
-        assert np.array_equal(dense_update_alpha(gs.graphs, gs.graphs[0]), [1.0])
+        assert np.array_equal(dense_update_alpha(gs.graphs, gs.graphs[0].toarray()), [1.0])
 
     def test_identical_graphs_stay_uniform(self):
         # Q is singular; the flat direction takes no step
-        S = random_graph_set(6, 3, 1, seed=1).graphs[0]
+        S = random_graph_set(6, 3, 1, seed=1).graphs[0].toarray()
         assert np.array_equal(dense_update_alpha([S, S.copy()], S), [0.5, 0.5])
         Z = svt(S, 0.05)
         assert np.array_equal(dense_update_alpha([S, S.copy(), S.copy()], Z),
@@ -297,7 +296,7 @@ class TestInitState:
         assert np.array_equal(state.alpha, [0.5, 0.5])
 
     def test_identical_graphs_blend_exactly(self):
-        S = random_graph_set(6, 3, 1, seed=1).graphs[0]
+        S = random_graph_set(6, 3, 1, seed=1).graphs[0].toarray()
         gs = AnchorGraphSet(graphs=[S, S.copy()], k=0)
         state = init_state(gs, SolverConfig(c=2))
         assert np.array_equal(state.Z, S)
@@ -309,6 +308,18 @@ class TestInitState:
             dev = np.max(np.abs(state.G.T @ state.G - np.eye(3)))
             assert dev < 1e-12
             assert np.all(state.F >= 0)
+
+    def test_builds_no_sparse_matrix(self, monkeypatch):
+        # the graph set holds the CSR graphs and cross-Grams already
+        gs = random_graph_set(10, 6, 3, seed=4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("init_state built a sparse matrix")
+
+        for name in ("csr_array", "csc_array", "coo_array", "hstack", "vstack"):
+            monkeypatch.setattr(sp, name, refuse)
+        state = init_state(gs, SolverConfig(c=2))
+        assert state.alpha.shape == (3,)
 
     def test_c_above_m_warns(self):
         gs = random_graph_set(6, 2, 2, seed=3)
@@ -551,7 +562,7 @@ class TestFactoredFit:
             M = (U * np.logspace(0, -12, m)) @ W.T
             F = np.abs(rng.standard_normal((n, 3)))
             G = random_orthonormal(m, 3, seed=trial)
-            Z = update_Z(GraphBundle([M]), np.ones(1), F, G, 2.0 * tau, 0.0)
+            Z = update_Z(AnchorGraphSet(graphs=[M], k=0), np.ones(1), F, G, 2.0 * tau, 0.0)
             s = np.linalg.svd(M, compute_uv=False)
             kept = np.maximum(s - tau, 0.0)
             worst = np.maximum(worst, [

@@ -6,12 +6,14 @@ Subcommands:
     reconstruct-graph  expand an anchor graph to a full sample graph
     sweep              grid-search (m, beta, gamma) over one dataset
 
-Configuration comes from built-in defaults, then an optional named
-preset, then an optional JSON config file, then explicit flags, in that
-order. Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numerical breakdown. A sweep loads the dataset once and builds anchor
-graphs once per m; its (beta, gamma) cells share them. ANCHORCLUST_WORKERS
-sets the worker pool that solves the cells.
+A run's settings are the fields of RunConfig; each is a config-file key
+and a flag (the key with - for _). They come from built-in defaults, then
+an optional named preset, then an optional JSON config file, then
+explicit flags, in that order, and a setting that no dataset can make
+valid is rejected before the load. Exit codes: 0 success, 2 configuration
+error, 3 data error, 4 numerical breakdown. A sweep loads the dataset
+once and builds anchor graphs once per m; its (beta, gamma) cells share
+them. ANCHORCLUST_WORKERS sets the worker pool that solves the cells.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import os
 import sys
 import time
+import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -80,7 +83,7 @@ _DATA_ERRORS = (
 
 @dataclass
 class RunConfig:
-    """Resolved knobs for one fit run."""
+    """Resolved settings of one fit run: the config-file keys and flags."""
 
     dataset: str
     output_dir: str
@@ -88,23 +91,19 @@ class RunConfig:
     m: int | None = None
     k: int = DEFAULT_K
     seed: int = 0
-    beta: float = solver.DEFAULT_BETA
-    gamma: float = solver.DEFAULT_GAMMA
-    rel_tol: float = 1e-6
-    max_iters: int = 200
-    single_view: bool = False
+    beta: float = solver.SolverConfig.beta
+    gamma: float = solver.SolverConfig.gamma
+    rel_tol: float = solver.SolverConfig.rel_tol
+    max_iters: int = solver.SolverConfig.max_iters
     normalize: bool = False
     cache_graphs: bool = False
     save_graph: bool = False
-    preset: str | None = None
 
 
+# each setting's value type, X for an annotation X | None
 _FIELD_KINDS = {
-    "dataset": str, "output_dir": str, "preset": str,
-    "c": int, "m": int, "k": int, "seed": int, "max_iters": int,
-    "beta": float, "gamma": float, "rel_tol": float,
-    "single_view": bool, "normalize": bool, "cache_graphs": bool,
-    "save_graph": bool,
+    name: (typing.get_args(hint) or (hint,))[0]
+    for name, hint in typing.get_type_hints(RunConfig).items()
 }
 
 
@@ -124,12 +123,19 @@ def _apply_mapping(cfg: RunConfig, mapping: dict, source: str) -> None:
         setattr(cfg, key, value)
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """defaults < preset < config file < explicit flags."""
-    cfg = RunConfig(dataset=args.dataset, output_dir=args.output)
+def _solver_config(cfg: RunConfig, c: int) -> solver.SolverConfig:
+    return solver.SolverConfig(c=c, beta=cfg.beta, gamma=cfg.gamma,
+                               max_iters=cfg.max_iters, rel_tol=cfg.rel_tol,
+                               seed=cfg.seed)
 
-    preset = getattr(args, "preset", None)
-    config_path = getattr(args, "config", None)
+
+def resolve_config(args: argparse.Namespace, swept: tuple = ()) -> RunConfig:
+    """defaults < preset < config file < explicit flags. A setting that no
+    dataset makes valid raises InvalidParameter here, before any load;
+    the swept settings, set per sweep cell, fail only their own cells."""
+    cfg = RunConfig(dataset=args.dataset, output_dir=args.output_dir)
+
+    preset, config_path = args.preset, args.config
     if config_path:
         try:
             file_map = json.loads(Path(config_path).read_text(encoding="utf-8"))
@@ -145,25 +151,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise MalformedConfig(
                 f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
             )
-        cfg.preset = preset
         _apply_mapping(cfg, PRESETS[preset], f"preset {preset!r}")
     if config_path:
         _apply_mapping(cfg, file_map, str(config_path))
-        cfg.dataset = args.dataset or cfg.dataset
-        cfg.output_dir = args.output or cfg.output_dir
-
-    for name in ("c", "m", "k", "seed", "beta", "gamma", "rel_tol", "max_iters"):
-        value = getattr(args, name, None)
+    for name in _FIELD_KINDS:
+        value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)
-    for flag in ("single_view", "normalize", "cache_graphs", "save_graph"):
-        if getattr(args, flag, False):
-            setattr(cfg, flag, True)
 
     if not cfg.dataset:
         raise MalformedConfig("no dataset path given")
     if not cfg.output_dir:
         raise MalformedConfig("no output directory given")
+    shared = dataclasses.replace(cfg, **{name: getattr(RunConfig, name) for name in swept})
+    if shared.m is not None and shared.m < 2 or shared.k < 1:
+        raise InvalidParameter(f"need m >= 2 and k >= 1, got m={shared.m}, k={shared.k}")
+    _solver_config(shared, 1 if shared.c is None else shared.c)  # checks the rest
     return cfg
 
 
@@ -179,10 +182,7 @@ def _resolve_solver_params(cfg: RunConfig, ds) -> tuple[int, int, int]:
     m = cfg.m if cfg.m is not None else min(c + 20, ds.n)
     if m < 2 or m > ds.n:
         raise InvalidParameter(f"need 2 <= m <= n, got m={m}, n={ds.n}")
-    k = min(cfg.k, m - 1)
-    if k < 1:
-        raise InvalidParameter(f"k must be >= 1, got {cfg.k}")
-    return c, m, k
+    return c, m, min(cfg.k, m - 1)
 
 
 @dataclass
@@ -206,15 +206,9 @@ def _writing(path):
 
 
 def load_data(cfg: RunConfig):
-    """Load the dataset, z-score it under --normalize, check --single-view."""
+    """Load the dataset, z-scored under --normalize."""
     ds = dataset_mod.load_dataset(cfg.dataset)
-    if cfg.normalize:
-        ds = dataset_mod.zscore(ds)
-    if cfg.single_view and ds.num_views != 1:
-        raise MalformedConfig(
-            f"--single-view needs a 1-view dataset, got {ds.num_views} views"
-        )
-    return ds
+    return dataset_mod.zscore(ds) if cfg.normalize else ds
 
 
 def build_graphs(cfg: RunConfig, ds, cache_dir: Path) -> GraphBuild:
@@ -240,15 +234,7 @@ def solve_and_write(cfg: RunConfig, build: GraphBuild) -> dict:
     """Solve on prebuilt graphs, write the run's outputs into the existing
     output directory, return the record."""
     graphs = build.graphs
-    sconfig = solver.SolverConfig(
-        c=build.c,
-        beta=cfg.beta,
-        gamma=cfg.gamma,
-        max_iters=cfg.max_iters,
-        rel_tol=cfg.rel_tol,
-        seed=cfg.seed,
-    )
-    result = solver.fit(graphs, sconfig)
+    result = solver.fit(graphs, _solver_config(cfg, build.c))
     scores = None
     if build.labels is not None:
         scores = metrics.evaluate_all(result.labels, build.labels)
@@ -363,7 +349,7 @@ def _shared_builds(cfg: RunConfig, m_grid) -> dict:
         except AnchorClustError as exc:
             return dict.fromkeys(m_grid, exc)
         builds = {}
-        for m in dict.fromkeys(m_grid):
+        for m in m_grid:
             cache_dir = Path(cfg.output_dir) / "graphs" / f"m{m}"
             try:
                 builds[m] = build_graphs(dataclasses.replace(cfg, m=m), ds, cache_dir)
@@ -410,7 +396,7 @@ def _sweep_cell(cfg: RunConfig, build) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, swept=("m", "beta", "gamma"))
     builds = _shared_builds(cfg, args.m_grid)
     cells_dir = Path(cfg.output_dir) / "cells"
     jobs = [
@@ -447,6 +433,10 @@ def cmd_sweep(args) -> int:
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
+    # a setting flag left out is None, and then leaves the config file's value
+    p.add_argument("dataset", help="dataset directory (meta.json layout)")
+    p.add_argument("--output", dest="output_dir", required=True,
+                   help="output directory")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--preset", help=f"named preset: {', '.join(sorted(PRESETS))}")
     p.add_argument("--c", type=int, help="cluster count (default: from labels)")
@@ -455,20 +445,22 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="RNG seed for anchors and solver")
     p.add_argument("--beta", type=float, help="low-rank weight")
     p.add_argument("--gamma", type=float, help="factorization weight")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, help="stopping tolerance")
-    p.add_argument("--max-iters", dest="max_iters", type=int, help="cycle cap")
-    p.add_argument("--normalize", action="store_true", help="z-score features per view")
-    p.add_argument("--cache-graphs", dest="cache_graphs", action="store_true")
-    p.add_argument("--save-graph", dest="save_graph", action="store_true",
+    p.add_argument("--rel-tol", type=float, help="stopping tolerance")
+    p.add_argument("--max-iters", type=int, help="cycle cap")
+    p.add_argument("--normalize", action="store_true", default=None,
+                   help="z-score features per view")
+    p.add_argument("--cache-graphs", action="store_true", default=None)
+    p.add_argument("--save-graph", action="store_true", default=None,
                    help="also write the learned consensus graph")
 
 
+# a sweep grid: its distinct values in first-seen order
 def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t]
+    return list(dict.fromkeys(int(t) for t in text.split(",") if t))
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t]
+    return list(dict.fromkeys(float(t) for t in text.split(",") if t))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,10 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="cluster a dataset directory")
-    p.add_argument("dataset", help="dataset directory (meta.json layout)")
-    p.add_argument("--output", required=True, help="output directory")
-    p.add_argument("--single-view", dest="single_view", action="store_true",
-                   help="reject a dataset with more than one view")
     _add_fit_flags(p)
     p.set_defaults(func=cmd_fit)
 
@@ -501,13 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct_graph)
 
     p = sub.add_parser("sweep", help="grid-search m, beta, gamma")
-    p.add_argument("dataset")
-    p.add_argument("--output", required=True)
-    p.add_argument("--m-grid", dest="m_grid", type=_int_list, required=True)
-    p.add_argument("--beta-grid", dest="beta_grid", type=_float_list, required=True)
-    p.add_argument("--gamma-grid", dest="gamma_grid", type=_float_list, required=True)
-    p.add_argument("--single-view", dest="single_view", action="store_true")
     _add_fit_flags(p)
+    p.add_argument("--m-grid", type=_int_list, required=True)
+    p.add_argument("--beta-grid", type=_float_list, required=True)
+    p.add_argument("--gamma-grid", type=_float_list, required=True)
     p.set_defaults(func=cmd_sweep)
 
     return parser

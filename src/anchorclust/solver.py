@@ -52,17 +52,14 @@ import numpy as np
 from .anchors import AnchorGraphSet
 from .errors import InvalidParameter, NumericalBreakdown, RankDeficientWarning
 
-DEFAULT_BETA = 0.3
-DEFAULT_GAMMA = 0.1
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Hyperparameters and iteration controls for fit()."""
 
     c: int
-    beta: float = DEFAULT_BETA
-    gamma: float = DEFAULT_GAMMA
+    beta: float = 0.3
+    gamma: float = 0.1
     max_iters: int = 200
     rel_tol: float = 1e-6
     seed: int = 0

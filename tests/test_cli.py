@@ -66,6 +66,24 @@ def blob_dir(tmp_path):
     return root
 
 
+# each RunConfig field: a config-file value and a flag value, both unlike
+# its default (a flag can only turn a bool on)
+SETTING_VALUES = {
+    "dataset": ("data_file", "data_flag"),
+    "output_dir": ("out_file", "out_flag"),
+    "c": (4, 6), "m": (12, 16), "k": (2, 4), "seed": (3, 7),
+    "beta": (0.5, 0.75), "gamma": (0.02, 0.04),
+    "rel_tol": (1e-4, 1e-5), "max_iters": (9, 11),
+    "normalize": (True, True), "cache_graphs": (True, True),
+    "save_graph": (True, True),
+}
+
+
+# bad in every sweep cell too: flags, or a config file's key
+SHARED_BAD_SETTINGS = ["--c=0", "--k=0", "--max-iters=0", "--rel-tol=0",
+                       "config:max_iters=0"]
+
+
 def fit_args(dataset, output, **over):
     args = ["fit", str(dataset), "--output", str(output)]
     defaults = dict(c=3, m=10, k=3, seed=0, beta=0.2, gamma=0.1)
@@ -172,6 +190,38 @@ class TestFitCommand:
         record = read_results(out)
         assert record["m"] == 8
         assert record["beta"] == 0.25
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(cli.RunConfig)])
+    def test_setting_precedence(self, tmp_path, command, name):
+        # defaults < config-file "preset" < config file < flags, per setting
+        file_value, flag_value = SETTING_VALUES[name]
+        positional = {"dataset": "data", "output_dir": "out"}
+        cfg_path = tmp_path / "cfg.json"
+
+        def resolve(file_map, flag=False):
+            cfg_path.write_text(json.dumps(file_map))
+            given = {**positional, name: flag_value} if flag else positional
+            argv = [command, given["dataset"], "--output", given["output_dir"],
+                    "--config", str(cfg_path)]
+            if command == "sweep":
+                argv += ["--m-grid", "8", "--beta-grid", "0.2", "--gamma-grid", "0.1"]
+            if flag and name not in positional:
+                argv.append("--" + name.replace("_", "-"))
+                if not isinstance(flag_value, bool):
+                    argv.append(str(flag_value))
+            return getattr(cli.resolve_config(cli.build_parser().parse_args(argv)), name)
+
+        default = resolve({})
+        if name in positional:
+            assert default == positional[name]
+        else:
+            assert default == getattr(cli.RunConfig, name)
+            assert resolve({name: file_value}) == file_value != default
+            assert resolve({"preset": "coil", name: file_value}) == file_value
+        beaten = (not flag_value) if isinstance(flag_value, bool) else file_value
+        assert resolve({name: beaten}, flag=True) == flag_value != beaten
+        assert resolve({"preset": "coil"}) == PRESETS["coil"].get(name, default)
 
     def test_config_file_bad_type_exits_2(self, blob_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -323,9 +373,19 @@ class TestFitCommand:
         out = tmp_path / "run"
         assert main(fit_args(blob_dir, out) + ["--normalize"]) == 0
 
-    def test_single_view_requires_one_view(self, blob_dir, tmp_path, capsys):
-        code = main(fit_args(blob_dir, tmp_path / "o") + ["--single-view"])
-        assert code == 2
+    def test_single_view_flag_and_key_rejected(self, blob_dir, tmp_path, capsys):
+        # a 1-view dataset needs no flag (test_single_view_runs)
+        sweep = ["sweep", str(blob_dir), "--output", str(tmp_path / "o"),
+                 "--m-grid", "8", "--beta-grid", "0.2", "--gamma-grid", "0.1"]
+        for argv in (fit_args(blob_dir, tmp_path / "o"), sweep):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--single-view"])
+            assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"single_view": True}))
+        capsys.readouterr()
+        assert main(fit_args(blob_dir, tmp_path / "o") + ["--config", str(cfg)]) == 2
+        assert "unknown key 'single_view'" in capsys.readouterr().err
 
     def test_single_view_runs(self, tmp_path):
         ds = synth_blobs(50, 2, 1, [4], seed=2)
@@ -333,21 +393,37 @@ class TestFitCommand:
         save_dataset(ds, root)
         out = tmp_path / "run"
         code = main(["fit", str(root), "--output", str(out), "--c", "2",
-                     "--m", "6", "--k", "2", "--single-view"])
+                     "--m", "6", "--k", "2"])
         assert code == 0
         assert read_results(out)["alpha"] == [1.0]
 
-    def test_single_view_flag_changes_no_output(self, tmp_path):
-        ds = synth_blobs(80, 3, 1, [5], noise=2.0, seed=4)
-        root = tmp_path / "sv"
-        save_dataset(ds, root)
-        outs = [tmp_path / "flag", tmp_path / "plain"]
-        for out, extra in zip(outs, (["--single-view"], [])):
-            args = ["fit", str(root), "--output", str(out), "--c", "3", "--m", "12",
-                    "--k", "3", "--seed", "4"]
-            assert main(args + extra) == 0
-        for name in ("labels.txt", "convergence.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    @pytest.mark.parametrize(
+        "command, setting",
+        [(cmd, s) for cmd in ("fit", "sweep") for s in SHARED_BAD_SETTINGS]
+        + [("fit", s) for s in ("--m=1", "--beta=-1", "--gamma=-0.5")])
+    def test_bad_setting_exits_2_before_load(self, blob_dir, tmp_path, capsys,
+                                            monkeypatch, command, setting):
+        # a sweep takes m, beta and gamma from its grids, where a bad value
+        # fails its own cells (test_bad_grid_value_fails_its_own_cells)
+        loads = []
+        load = dataset_mod.load_dataset
+
+        def counting_load(root, *args, **kwargs):
+            loads.append(root)
+            return load(root, *args, **kwargs)
+
+        monkeypatch.setattr(dataset_mod, "load_dataset", counting_load)
+        argv = [command, str(blob_dir), "--output", str(tmp_path / "o")]
+        if command == "sweep":
+            argv += ["--m-grid", "8", "--beta-grid", "0.2", "--gamma-grid", "0.1"]
+        if setting.startswith("config:"):
+            key, value = setting.removeprefix("config:").split("=")
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: int(value)}))
+            setting = f"--config={cfg}"
+        assert main(argv + [setting]) == 2
+        assert "config error [InvalidParameter]" in capsys.readouterr().err
+        assert loads == []
 
 
 class TestEvaluateCommand:
@@ -493,6 +569,38 @@ class TestSweepCommand:
         assert status[8] == "ok"
         assert status[500] == "failed"
         assert "InvalidParameter" in [r for r in rows if r["m"] == 500][0]["error"]
+
+    def test_bad_grid_value_fails_its_own_cells(self, blob_dir, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(blob_dir), "--output", str(out),
+                     "--m-grid", "1,8", "--beta-grid=-1,0.2",
+                     "--gamma-grid", "0.1", "--c", "3", "--max-iters", "5"]) == 0
+        rows = read_sweep_report(out / "sweep.csv")
+        status = {(r["m"], r["beta"]): r["status"] for r in rows}
+        assert status == {(1, -1.0): "failed", (1, 0.2): "failed",
+                          (8, -1.0): "failed", (8, 0.2): "ok"}
+        assert all(r["error"].startswith("InvalidParameter: ")
+                   for r in rows if r["status"] == "failed")
+
+    def test_repeated_grid_values_solve_once(self, blob_dir, tmp_path, monkeypatch):
+        runs = []
+        run_fit = cli.run_fit
+
+        def counting_run_fit(cfg, *args, **kwargs):
+            runs.append((cfg.m, cfg.beta, cfg.gamma))
+            return run_fit(cfg, *args, **kwargs)
+
+        monkeypatch.setenv("ANCHORCLUST_WORKERS", "1")
+        monkeypatch.setattr(cli, "run_fit", counting_run_fit)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(blob_dir), "--output", str(out),
+                     "--m-grid", "8,8", "--beta-grid", "0.1,0.1,1e-1,0.2,0.1",
+                     "--gamma-grid", "0.01", "--c", "3", "--max-iters", "5"]) == 0
+        rows = read_sweep_report(out / "sweep.csv")
+        assert [(r["m"], r["beta"], r["gamma"]) for r in rows] == runs == [
+            (8, 0.1, 0.01), (8, 0.2, 0.01)]
+        assert sorted(p.name for p in (out / "cells").iterdir()) == [
+            "cell_m8_b0.1_g0.01", "cell_m8_b0.2_g0.01"]
 
     def test_worker_pool(self, blob_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("ANCHORCLUST_WORKERS", "2")

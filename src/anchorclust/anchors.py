@@ -58,21 +58,18 @@ class AnchorSet:
                 raise InvalidParameter(f"anchor matrix {i} has non-finite rows")
 
 
-@dataclass(frozen=True)
 class AnchorGraphSet:
-    """V n x m row-stochastic sample-to-anchor graphs as CSR (dense ones are
-    converted), and what the solver needs of them, computed once: the
-    block row H = [S_1 ... S_V] (n x Vm), its transpose Ht, the cross-Grams
-    C[v, u] = S_v^T S_u (m x m) and Q_vu = <S_v, S_u>_F = tr(C[v, u])."""
+    """V n x m row-stochastic sample-to-anchor graphs (dense ones are
+    converted to CSR), stored once as the block row H = [S_1 ... S_V]
+    (n x Vm) and once as its transpose Ht, with what the solver needs of
+    them, computed when built: the cross-Grams C[v, u] = S_v^T S_u (m x m)
+    and Q_vu = <S_v, S_u>_F = tr(C[v, u])."""
 
-    graphs: list
-    k: int
-
-    def __post_init__(self):
-        if not self.graphs:
+    def __init__(self, graphs: list, k: int):
+        if not graphs:
             raise InvalidParameter("graph set needs at least one graph")
         graphs = [S if isinstance(S, sp.csr_array) else sp.csr_array(S)
-                  for S in self.graphs]
+                  for S in graphs]
         n, m = graphs[0].shape
         for i, S in enumerate(graphs):
             if S.shape != (n, m):
@@ -80,27 +77,27 @@ class AnchorGraphSet:
                     f"graph {i} has shape {S.shape}, expected {(n, m)}"
                 )
         V = len(graphs)
-        H = sp.hstack(graphs, format="csr")
-        Ht = H.T.tocsr()
-        C = (Ht @ H).toarray().reshape(V, m, V, m)
-        C = np.ascontiguousarray(C.transpose(0, 2, 1, 3))
-        object.__setattr__(self, "graphs", graphs)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "Ht", Ht)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "Q", np.einsum("vuii->vu", C))
+        self.k = k
+        self.num_views = V
+        self.H = sp.hstack(graphs, format="csr")
+        self.Ht = self.H.T.tocsr()
+        C = (self.Ht @ self.H).toarray().reshape(V, m, V, m)
+        self.C = np.ascontiguousarray(C.transpose(0, 2, 1, 3))
+        self.Q = np.einsum("vuii->vu", self.C)
 
     @property
     def n(self) -> int:
-        return self.graphs[0].shape[0]
+        return self.H.shape[0]
 
     @property
     def m(self) -> int:
-        return self.graphs[0].shape[1]
+        return self.H.shape[1] // self.num_views
 
     @property
-    def num_views(self) -> int:
-        return len(self.graphs)
+    def graphs(self) -> list:
+        """The V graphs S_v as CSR, sliced from H's column blocks."""
+        m = self.m
+        return [self.H[:, v * m:(v + 1) * m] for v in range(self.num_views)]
 
     def mix_times(self, alpha: np.ndarray, X: np.ndarray) -> np.ndarray:
         """(sum_v alpha_v S_v) X for an m x c block X."""
@@ -113,19 +110,39 @@ class AnchorGraphSet:
     def mixture(self, alpha: np.ndarray) -> np.ndarray:
         """sum_v alpha_v S_v as a dense n x m array; the only place the
         graphs are made dense."""
-        Z = alpha[0] * self.graphs[0].toarray()
-        for a, S in zip(alpha[1:], self.graphs[1:]):
+        graphs = self.graphs
+        Z = alpha[0] * graphs[0].toarray()
+        for a, S in zip(alpha[1:], graphs[1:]):
             Z += a * S.toarray()
         return Z
 
 
 def _sq_dists(X: np.ndarray, C: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
-    """All-pairs squared Euclidean distances, clipped at zero. x2, the
-    squared row norms of X, may be passed in when X is reused."""
+    """All-pairs squared Euclidean distances, clipped at zero, in one n x m
+    array: x2 - 2 X C^T + c2 as (-2 X C^T + x2) + c2, the same roundings.
+    x2, the squared row norms of X, may be passed in when X is reused."""
     if x2 is None:
         x2 = np.sum(X * X, axis=1)
-    d2 = x2[:, None] - 2.0 * (X @ C.T) + np.sum(C * C, axis=1)[None, :]
-    return np.maximum(d2, 0.0)
+    d2 = X @ C.T
+    d2 *= -2.0
+    d2 += x2[:, None]
+    d2 += np.sum(C * C, axis=1)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _cluster_means(X: np.ndarray, assign: np.ndarray, m: int):
+    """Mean of the rows of X in each of m clusters (a zero row for an empty
+    one) and the mask of non-empty clusters. The sums are the m x n one-hot
+    matrix times X: each CSR row lists its samples in ascending order, so
+    every sum adds the same rows in the same order from 0.0 as a bincount
+    per column."""
+    n = X.shape[0]
+    counts = np.bincount(assign, minlength=m).astype(np.float64)
+    onehot = sp.csr_array((np.ones(n), (assign, np.arange(n))), shape=(m, n))
+    means = onehot @ X
+    nonempty = counts > 0
+    means[nonempty] /= counts[nonempty, None]
+    return means, nonempty
 
 
 def _kmeans_pp_init(X, m, rng, x2):
@@ -167,16 +184,7 @@ def kmeans(X: np.ndarray, m: int, rng, max_iters: int = 100):
         d2 = _sq_dists(X, centers, x2)
         new_assign = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(n), new_assign]
-        counts = np.bincount(new_assign, minlength=m).astype(np.float64)
-        new_centers = np.stack(
-            [
-                np.bincount(new_assign, weights=X[:, dim], minlength=m)
-                for dim in range(X.shape[1])
-            ],
-            axis=1,
-        )
-        nonempty = counts > 0
-        new_centers[nonempty] /= counts[nonempty, None]
+        new_centers, nonempty = _cluster_means(X, new_assign, m)
         for j in np.nonzero(~nonempty)[0]:
             far = int(np.argmax(point_d2))
             new_centers[j] = X[far]

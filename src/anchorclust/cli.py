@@ -6,14 +6,15 @@ Subcommands:
     reconstruct-graph  expand an anchor graph to a full sample graph
     sweep              grid-search (m, beta, gamma) over one dataset
 
-A run's settings are the fields of RunConfig; each is a config-file key
-and a flag (the key with - for _). They come from built-in defaults, then
-an optional named preset, then an optional JSON config file, then
-explicit flags, in that order, and a setting that no dataset can make
-valid is rejected before the load. Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 numerical breakdown. A sweep loads the dataset
-once and builds anchor graphs once per m; its (beta, gamma) cells share
-them. ANCHORCLUST_WORKERS sets the worker pool that solves the cells.
+A run's settings are the fields of RunConfig. Each is a flag (the field
+with - for _) and a config-file key, except dataset and output_dir, which
+the required arguments set. They come from built-in defaults, then an
+optional named preset, then an optional JSON config file, then explicit
+flags, in that order. A setting that no dataset can make valid, or that
+would never take effect (a sweep's --beta), is rejected before the load.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
+breakdown. A sweep loads the dataset once and builds anchor graphs once
+per m; its (beta, gamma) cells share them. ANCHORCLUST_WORKERS sets the worker pool that solves the cells.
 """
 
 from __future__ import annotations
@@ -129,11 +130,31 @@ def _solver_config(cfg: RunConfig, c: int) -> solver.SolverConfig:
                                seed=cfg.seed)
 
 
-def resolve_config(args: argparse.Namespace, swept: tuple = ()) -> RunConfig:
+# Why a setting would never take effect: the config-file keys that a
+# required argument always sets, and the settings a sweep's grids replace
+_ARGUMENT_ONLY = {"dataset": "the positional dataset argument sets it",
+                  "output_dir": "--output sets it"}
+_SWEEP_GRIDS = {
+    "m": "a sweep takes m from --m-grid",
+    "beta": "a sweep takes beta from --beta-grid",
+    "gamma": "a sweep takes gamma from --gamma-grid",
+    "preset": "a sweep takes m, beta and gamma from --m-grid, --beta-grid "
+              "and --gamma-grid",
+}
+
+
+def resolve_config(args: argparse.Namespace, sweep: bool = False) -> RunConfig:
     """defaults < preset < config file < explicit flags. A setting that no
-    dataset makes valid raises InvalidParameter here, before any load;
-    the swept settings, set per sweep cell, fail only their own cells."""
+    dataset makes valid raises InvalidParameter here, before any load, and
+    a setting that would never take effect raises MalformedConfig: a
+    config-file key that an argument always sets, and in a sweep a flag,
+    key or preset that its grids replace."""
     cfg = RunConfig(dataset=args.dataset, output_dir=args.output_dir)
+    refused = {**_ARGUMENT_ONLY, **(_SWEEP_GRIDS if sweep else {})}
+    if sweep:
+        for key, why in _SWEEP_GRIDS.items():
+            if getattr(args, key) is not None:
+                raise MalformedConfig(f"--{key} has no effect: {why}")
 
     preset, config_path = args.preset, args.config
     if config_path:
@@ -143,6 +164,11 @@ def resolve_config(args: argparse.Namespace, swept: tuple = ()) -> RunConfig:
             raise MalformedConfig(f"{config_path}: {exc}") from None
         if not isinstance(file_map, dict):
             raise MalformedConfig(f"{config_path}: top level must be an object")
+        for key in file_map:
+            if key in refused:
+                raise MalformedConfig(
+                    f"{config_path}: key {key!r} has no effect: {refused[key]}"
+                )
         # consumed here; an explicit --preset flag wins over the file's
         preset = preset or file_map.pop("preset", None)
 
@@ -163,10 +189,9 @@ def resolve_config(args: argparse.Namespace, swept: tuple = ()) -> RunConfig:
         raise MalformedConfig("no dataset path given")
     if not cfg.output_dir:
         raise MalformedConfig("no output directory given")
-    shared = dataclasses.replace(cfg, **{name: getattr(RunConfig, name) for name in swept})
-    if shared.m is not None and shared.m < 2 or shared.k < 1:
-        raise InvalidParameter(f"need m >= 2 and k >= 1, got m={shared.m}, k={shared.k}")
-    _solver_config(shared, 1 if shared.c is None else shared.c)  # checks the rest
+    if cfg.m is not None and cfg.m < 2 or cfg.k < 1:
+        raise InvalidParameter(f"need m >= 2 and k >= 1, got m={cfg.m}, k={cfg.k}")
+    _solver_config(cfg, 1 if cfg.c is None else cfg.c)  # checks the rest
     return cfg
 
 
@@ -396,7 +421,7 @@ def _sweep_cell(cfg: RunConfig, build) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    cfg = resolve_config(args, swept=("m", "beta", "gamma"))
+    cfg = resolve_config(args, sweep=True)
     builds = _shared_builds(cfg, args.m_grid)
     cells_dir = Path(cfg.output_dir) / "cells"
     jobs = [

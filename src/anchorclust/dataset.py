@@ -115,6 +115,27 @@ def remap_labels(raw: np.ndarray) -> np.ndarray:
 
 
 def _parse_csv_matrix(path: Path, dims: int) -> np.ndarray:
+    """Parse a view CSV with numpy's C reader, which gives the same bits
+    as float() per token. A file it refuses, finds empty or reads at
+    another width goes to the line reader, which accepts what float()
+    accepts (underscores, whitespace-only lines) and raises the typed,
+    line-numbered errors. A blank file skips loadtxt and its no-data
+    warning."""
+    with open(path, "rb") as fh:
+        blank = not any(line.strip() for line in fh)
+    if not blank:
+        try:
+            X = np.loadtxt(path, delimiter=",", dtype=np.float64, comments=None,
+                           ndmin=2, encoding="utf-8")
+        except ValueError:
+            pass
+        else:
+            if X.shape[0] and X.shape[1] == dims:
+                return X
+    return _parse_csv_lines(path, dims)
+
+
+def _parse_csv_lines(path: Path, dims: int) -> np.ndarray:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -36,9 +36,11 @@ C_uv = S_u^T S_v, which the AnchorGraphSet computes once when built:
                          ||F G^T||^2 = tr(F^T F G^T G), exact also for c > m
 
 so a cycle costs O(n k V c + n c^2 + V^2 m^2 + V m^2 c + m^3), linear in
-n, and holds no n x m array. SolverState.Z builds the dense Z only when
-it is read (--save-graph, objective(), tests). The dense references
-that the tests compare fit against live in tests/oracles.py.
+n, and holds no n x m array. A cycle forms two sparse products: Z G in
+the F step, and S_v^T F in the G step, which hands it on to the Z step.
+SolverState.Z builds the dense Z only when it is read (--save-graph,
+objective(), tests). The dense references that the tests compare fit
+against live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -136,11 +138,12 @@ class FactoredZ:
     when it is small next to ||Z||^2 (small beta and gamma).
     """
 
-    def __init__(self, graphs: AnchorGraphSet, alpha, F, G, gamma: float, tau: float):
+    def __init__(self, graphs: AnchorGraphSet, alpha, F, G, gamma: float, tau: float,
+                 SvtF: np.ndarray | None = None):
         self.graphs, self.alpha, self.F, self.G = graphs, alpha, F, G
         self.gamma, self.tau = gamma, tau
         Q = graphs.Q
-        B = graphs.each_t_times(F)                        # S_v^T F
+        B = graphs.each_t_times(F) if SvtF is None else SvtF  # S_v^T F
         FtF = F.T @ F
         SvtM = np.einsum("vuij,u->vij", graphs.C, alpha)  # S_v^T M, gamma = 0
         MtF = np.tensordot(alpha, B, axes=1)              # M^T F, gamma = 0
@@ -199,6 +202,13 @@ class FactoredZ:
     def T(self) -> "_FactoredZT":
         return _FactoredZT(self)
 
+    def t_times(self, Y: np.ndarray, SvtY: np.ndarray) -> np.ndarray:
+        """Z^T Y, given the V products S_v^T Y as a V x m x c array."""
+        MtY = np.tensordot(self.alpha, SvtY, axes=1)
+        if self.gamma != 0.0:
+            MtY = (MtY + self.gamma * (self.G @ (self.F.T @ Y))) / (1.0 + self.gamma)
+        return MtY if self.P is None else self.P @ MtY
+
     def dense(self) -> np.ndarray:
         """The n x m matrix, by the arithmetic of the dense SVT in
         tests/oracles.py, so tau = 0 gives M bitwise."""
@@ -220,11 +230,7 @@ class _FactoredZT:
         self.Z = Z
 
     def __matmul__(self, Y: np.ndarray) -> np.ndarray:
-        Z = self.Z
-        MtY = np.tensordot(Z.alpha, Z.graphs.each_t_times(Y), axes=1)
-        if Z.gamma != 0.0:
-            MtY = (MtY + Z.gamma * (Z.G @ (Z.F.T @ Y))) / (1.0 + Z.gamma)
-        return MtY if Z.P is None else Z.P @ MtY
+        return self.Z.t_times(Y, self.Z.graphs.each_t_times(Y))
 
 
 def init_state(graphs: AnchorGraphSet, config: SolverConfig) -> SolverState:
@@ -255,10 +261,16 @@ def update_F(Z, G: np.ndarray) -> np.ndarray:
     return np.maximum(Z @ G, 0.0)
 
 
-def update_G(Z, F: np.ndarray) -> np.ndarray:
+def update_G(Z, F: np.ndarray, SvtF: np.ndarray | None = None) -> np.ndarray:
     """Orthogonal Procrustes: maximize Tr(G^T W) with W = Z^T F. Z is a
-    dense array or a FactoredZ."""
-    W = Z.T @ F
+    dense array or a FactoredZ. Given a FactoredZ and an empty V x m x c
+    array SvtF, W is formed from the products S_v^T F written into SvtF,
+    which the Z step of the same cycle takes instead of forming them again."""
+    if SvtF is None:
+        W = Z.T @ F
+    else:
+        SvtF[...] = Z.graphs.each_t_times(F)
+        W = Z.t_times(F, SvtF)
     U, s, Vt = np.linalg.svd(W, full_matrices=False)
     if s.size and s[-1] < 1e-12:
         warnings.warn(
@@ -271,9 +283,10 @@ def update_G(Z, F: np.ndarray) -> np.ndarray:
 
 
 def update_Z(graphs: AnchorGraphSet, alpha: np.ndarray, F: np.ndarray, G: np.ndarray,
-             beta: float, gamma: float) -> FactoredZ:
-    """Exact Z-block minimizer: the SVT of the blended target, factored."""
-    return FactoredZ(graphs, alpha, F, G, gamma, beta / (2.0 * (1.0 + gamma)))
+             beta: float, gamma: float, SvtF: np.ndarray | None = None) -> FactoredZ:
+    """Exact Z-block minimizer: the SVT of the blended target, factored.
+    SvtF, the products S_v^T F, is formed here when not given."""
+    return FactoredZ(graphs, alpha, F, G, gamma, beta / (2.0 * (1.0 + gamma)), SvtF)
 
 
 def update_alpha(graphs: AnchorGraphSet, Z: FactoredZ) -> np.ndarray:
@@ -399,8 +412,9 @@ def fit(graphs: AnchorGraphSet, config: SolverConfig) -> ClusteringResult:
     for cycle in range(1, config.max_iters + 1):
         try:
             state.F = update_F(Z, state.G)
-            state.G = update_G(Z, state.F)
-            Z = update_Z(graphs, state.alpha, state.F, state.G, beta, gamma)
+            SvtF = np.empty((graphs.num_views, graphs.m, config.c))
+            state.G = update_G(Z, state.F, SvtF)
+            Z = update_Z(graphs, state.alpha, state.F, state.G, beta, gamma, SvtF)
             state.Z = Z
             if graphs.num_views > 1:
                 state.alpha = update_alpha(graphs, Z)

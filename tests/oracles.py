@@ -73,6 +73,19 @@ def dense_anchor_graph(X, anchors, k):
     return S
 
 
+def lloyd_bincount_centers(X, assign, m):
+    """Cluster means by one weighted bincount per column, the loop Lloyd's
+    update ran before the one-hot product; an empty cluster gets a zero row."""
+    counts = np.bincount(assign, minlength=m).astype(np.float64)
+    centers = np.stack(
+        [np.bincount(assign, weights=X[:, d], minlength=m) for d in range(X.shape[1])],
+        axis=1,
+    )
+    nonempty = counts > 0
+    centers[nonempty] /= counts[nonempty, None]
+    return centers
+
+
 def kkt_residual(M, tau, Z):
     """Optimality check for min 0.5||Z-M||^2 + tau||Z||_*: on Z's positive
     singular subspace M - Z must equal tau * U1 V1^T; orthogonal to it the

@@ -10,11 +10,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_anchor_graph
+from oracles import dense_anchor_graph, lloyd_bincount_centers, mix_graphs
 
 import anchorclust
 from anchorclust.anchors import (
     AnchorGraphSet,
+    _cluster_means,
     build_all,
     build_anchor_graph,
     load_anchor_set,
@@ -207,6 +208,69 @@ class TestSelectAnchors:
         b = select_anchors(ds, m=6, seed=5)
         for ca, cb in zip(a.anchors, b.anchors):
             assert np.array_equal(ca, cb)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestClusterMeans:
+    """The one-hot product against the per-column bincount loop, on values
+    spread over 16 decades, where any change in summation order shows."""
+
+    @staticmethod
+    def spread(rng, n, d):
+        return rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-8, 8, (n, d))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 40),
+           st.integers(1, 30))
+    def test_random_inputs_bitwise(self, seed, n, d, m):
+        rng = np.random.default_rng(seed)
+        X, assign = self.spread(rng, n, d), rng.integers(0, m, n)
+        means, nonempty = _cluster_means(X, assign, m)
+        assert_same_bits(means, lloyd_bincount_centers(X, assign, m))
+        assert np.array_equal(nonempty, np.bincount(assign, minlength=m) > 0)
+
+    def test_empty_clusters_bitwise(self):
+        rng = np.random.default_rng(1)
+        X = self.spread(rng, 500, 16)
+        assign = rng.choice([0, 3, 4, 9], 500)
+        means, nonempty = _cluster_means(X, assign, 12)
+        assert_same_bits(means, lloyd_bincount_centers(X, assign, 12))
+        assert np.flatnonzero(nonempty).tolist() == [0, 3, 4, 9]
+        assert not means[~nonempty].any()
+
+    def test_duplicate_rows_bitwise(self):
+        rng = np.random.default_rng(2)
+        X = np.repeat(self.spread(rng, 40, 1024), 25, axis=0)
+        rng.shuffle(X)
+        assign = rng.integers(0, 30, X.shape[0])
+        assert_same_bits(_cluster_means(X, assign, 30)[0],
+                         lloyd_bincount_centers(X, assign, 30))
+
+
+class TestGraphSetStorage:
+    def test_nonzeros_stored_twice_and_mixture_unchanged(self):
+        ds = synth_blobs(500, 4, 3, [5, 6, 7], seed=4)
+        anchor_set = select_anchors(ds, m=20, seed=4)
+        graphs = [build_anchor_graph(X, C, 5) for X, C in zip(ds.views, anchor_set.anchors)]
+        gs = AnchorGraphSet(graphs=graphs, k=5)
+
+        def csr_bytes(value):
+            if isinstance(value, (list, tuple)):
+                return sum(csr_bytes(v) for v in value)
+            if sp.issparse(value):
+                return value.data.nbytes + value.indices.nbytes + value.indptr.nbytes
+            return 0
+
+        stored = sum(csr_bytes(v) for v in vars(gs).values())
+        # H, Ht and a third copy in the per-view graphs
+        assert stored <= 0.75 * (csr_bytes(gs.H) + csr_bytes(gs.Ht) + csr_bytes(graphs))
+        for S, built in zip(gs.graphs, graphs):
+            assert_same_bits(S.toarray(), built.toarray())
+        for alpha in (np.full(3, 1 / 3), np.array([0.5, 0.0, 0.5]), np.array([0.2, 0.3, 0.5])):
+            assert_same_bits(gs.mixture(alpha), mix_graphs(graphs, alpha))
 
 
 class TestBuildAll:

@@ -21,7 +21,7 @@ from anchorclust.dataset import (
     synth_blobs,
     write_matrix_csv,
 )
-from anchorclust.errors import DegenerateViewWarning
+from anchorclust.errors import DegenerateViewWarning, MalformedConfig
 
 
 def read_results(output_dir) -> dict:
@@ -194,9 +194,14 @@ class TestFitCommand:
     @pytest.mark.parametrize("command", ["fit", "sweep"])
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(cli.RunConfig)])
     def test_setting_precedence(self, tmp_path, command, name):
-        # defaults < config-file "preset" < config file < flags, per setting
+        # defaults < config-file "preset" < config file < flags, per setting;
+        # a file key that an argument always sets, and in a sweep a flag,
+        # key or preset that the grids replace, is refused by name
         file_value, flag_value = SETTING_VALUES[name]
         positional = {"dataset": "data", "output_dir": "out"}
+        refused = {"dataset": "positional dataset argument", "output_dir": "--output"}
+        if command == "sweep":
+            refused.update(m="--m-grid", beta="--beta-grid", gamma="--gamma-grid")
         cfg_path = tmp_path / "cfg.json"
 
         def resolve(file_map, flag=False):
@@ -210,18 +215,74 @@ class TestFitCommand:
                 argv.append("--" + name.replace("_", "-"))
                 if not isinstance(flag_value, bool):
                     argv.append(str(flag_value))
-            return getattr(cli.resolve_config(cli.build_parser().parse_args(argv)), name)
+            return getattr(cli.resolve_config(cli.build_parser().parse_args(argv),
+                                              sweep=command == "sweep"), name)
 
         default = resolve({})
         if name in positional:
             assert default == positional[name]
+            assert resolve({}, flag=True) == flag_value
         else:
             assert default == getattr(cli.RunConfig, name)
-            assert resolve({name: file_value}) == file_value != default
-            assert resolve({"preset": "coil", name: file_value}) == file_value
-        beaten = (not flag_value) if isinstance(flag_value, bool) else file_value
-        assert resolve({name: beaten}, flag=True) == flag_value != beaten
-        assert resolve({"preset": "coil"}) == PRESETS["coil"].get(name, default)
+        # the file's "preset" key is refused first in a sweep
+        with_preset = [{"preset": "coil", name: file_value}] if command == "fit" else []
+        if name in refused:
+            for file_map in [{name: file_value}] + with_preset:
+                with pytest.raises(MalformedConfig, match=f"key '{name}' has no effect: .*"
+                                   + refused[name]):
+                    resolve(file_map)
+            if name not in positional:
+                with pytest.raises(MalformedConfig, match=refused[name]):
+                    resolve({}, flag=True)
+        else:
+            for file_map in [{name: file_value}] + with_preset:
+                assert resolve(file_map) == file_value != default
+            beaten = (not flag_value) if isinstance(flag_value, bool) else file_value
+            assert resolve({name: beaten}, flag=True) == flag_value != beaten
+        if command == "sweep":
+            with pytest.raises(MalformedConfig, match="key 'preset' has no effect"):
+                resolve({"preset": "coil"})
+        else:
+            assert resolve({"preset": "coil"}) == PRESETS["coil"].get(name, default)
+
+    @pytest.mark.parametrize("setting", ["--m=12", "--beta=5", "--gamma=0.5",
+                                         "--preset=coil", "config:m", "config:beta",
+                                         "config:gamma", "config:preset"])
+    def test_sweep_refuses_settings_its_grids_replace(self, blob_dir, tmp_path,
+                                                      capsys, monkeypatch, setting):
+        loads = []
+        load = dataset_mod.load_dataset
+
+        def counting_load(root, *args, **kwargs):
+            loads.append(root)
+            return load(root, *args, **kwargs)
+
+        monkeypatch.setattr(dataset_mod, "load_dataset", counting_load)
+        argv = ["sweep", str(blob_dir), "--output", str(tmp_path / "o"),
+                "--m-grid", "8", "--beta-grid", "0.2", "--gamma-grid", "0.1"]
+        name = setting.removeprefix("config:").removeprefix("--").split("=")[0]
+        if setting.startswith("config:"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({name: "coil" if name == "preset" else 12}))
+            setting = f"--config={cfg}"
+        assert main(argv + [setting]) == 2
+        err = capsys.readouterr().err
+        assert "config error [MalformedConfig]" in err
+        grids = ["--m-grid", "--beta-grid", "--gamma-grid"]
+        assert all(g in err for g in grids) if name == "preset" else f"--{name}-grid" in err
+        assert loads == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, argument", [("dataset", "positional dataset"),
+                                               ("output_dir", "--output")])
+    def test_config_key_an_argument_sets_exits_2(self, blob_dir, tmp_path, capsys,
+                                                 key, argument):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: str(tmp_path / "elsewhere")}))
+        assert main(fit_args(blob_dir, tmp_path / "o") + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"key '{key}' has no effect" in err and argument in err
+        assert not (tmp_path / "o").exists()
 
     def test_config_file_bad_type_exits_2(self, blob_dir, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anchorclust import dataset as dataset_mod
 from anchorclust.dataset import (
     MultiViewDataset,
     load_dataset,
@@ -15,6 +18,7 @@ from anchorclust.dataset import (
     zscore,
 )
 from anchorclust.errors import (
+    AnchorClustError,
     InvalidParameter,
     MalformedMeta,
     MissingFile,
@@ -129,6 +133,67 @@ class TestLoad:
         (root / "meta.json").write_text(json.dumps(meta))
         ds = load_dataset(root)
         assert np.array_equal(ds.views[0], X)
+
+
+def parse_outcome(parse, path, dims):
+    """What a CSV parser makes of a file: its bits, or its typed error."""
+    try:
+        X = parse(path, dims)
+    except AnchorClustError as exc:
+        return type(exc).__name__, str(exc)
+    return X.shape, X.tobytes()
+
+
+TOKEN_FORMATS = [repr, "{:.25g}".format, "{:.5e}".format, "{:.17g}".format, str]
+
+
+class TestCsvParse:
+    """The C-parsed load against the line reader that it falls back to."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=24), st.integers(1, 4),
+           st.sampled_from(TOKEN_FORMATS), st.sampled_from(["\n", "\r\n"]),
+           st.booleans())
+    def test_same_bits_as_line_reader(self, tmp_path_factory, values, dims, fmt,
+                                      newline, last_newline):
+        values = values * dims  # a multiple of dims long
+        rows = [values[i:i + dims] for i in range(0, len(values), dims)]
+        text = newline.join(",".join(fmt(x) for x in row) for row in rows)
+        path = tmp_path_factory.mktemp("csv") / "v.csv"
+        path.write_bytes((text + newline * last_newline).encode())
+        got = parse_outcome(dataset_mod._parse_csv_matrix, path, dims)
+        assert got == parse_outcome(dataset_mod._parse_csv_lines, path, dims)
+        assert got[0] == (len(rows), dims)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, dims, outcome", [
+        ("1,2\n3\n", 2, "ShapeMismatch"),                 # ragged row
+        ("1,2\n  \n3,4\n", 2, (2, 2)),                   # whitespace-only line
+        ("1_0,2\n", 2, (1, 2)),                           # float() takes underscores
+        ("1,2\n#,3\n", 2, "NonFiniteValue"),              # no comment syntax
+        ("1,2,\n", 2, "ShapeMismatch"),                   # trailing comma
+        ("1,2\r\n3,4\r\n", 2, (2, 2)),                    # CRLF
+        ("nan,1\n", 2, (1, 2)),                           # parsed; the dataset refuses it
+        ("1,2,3\n4,5,6\n", 2, "ShapeMismatch"),           # every row too wide
+        ("", 1, "ShapeMismatch"),                         # empty file
+        ("\n\r\n \n", 1, "ShapeMismatch"),                 # blank lines only
+    ])
+    def test_malformed_case_ends_like_line_reader(self, tmp_path, text, dims, outcome):
+        path = tmp_path / "v.csv"
+        path.write_bytes(text.encode())
+        got = parse_outcome(dataset_mod._parse_csv_matrix, path, dims)
+        assert got == parse_outcome(dataset_mod._parse_csv_lines, path, dims)
+        assert got[0] == outcome
+
+    def test_well_formed_file_skips_line_reader(self, tmp_path, monkeypatch):
+        X = np.random.default_rng(5).standard_normal((50, 3))
+        write_matrix_csv(X, tmp_path / "v.csv")
+
+        def refuse(path, dims):
+            raise AssertionError("line reader used")
+
+        monkeypatch.setattr(dataset_mod, "_parse_csv_lines", refuse)
+        assert dataset_mod._parse_csv_matrix(tmp_path / "v.csv", 3).tobytes() == X.tobytes()
 
 
 class TestSaveRoundTrip:

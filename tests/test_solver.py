@@ -531,6 +531,26 @@ class TestFactoredFit:
         assert not result.state.Z.any()
         assert not result.state.F.any()
 
+    @pytest.mark.parametrize("beta, gamma", [(0.3, 0.1), (0.0, 0.1), (0.5, 0.0)])
+    def test_one_transpose_product_per_cycle(self, monkeypatch, beta, gamma):
+        # the G step's S_v^T F is the one the Z step uses
+        gs = blob_graphs(seed=3)
+        cfg = SolverConfig(c=5, beta=beta, gamma=gamma, max_iters=12, seed=3)
+        calls = []
+        each_t_times = AnchorGraphSet.each_t_times
+
+        def counting(self, Y):
+            calls.append(Y.shape)
+            return each_t_times(self, Y)
+
+        monkeypatch.setattr(AnchorGraphSet, "each_t_times", counting)
+        init_state(gs, cfg)
+        at_init = len(calls)
+        calls.clear()
+        result = fit(gs, cfg)
+        assert result.state.iters_run > 1
+        assert len(calls) == at_init + result.state.iters_run
+
     def test_csr_only_graphs_never_densified(self):
         # n x m float64 is 16 MB here; the factored loop stays well below
         gs = blob_graphs(n=20000, dims=(6, 6), m=100, k=3)

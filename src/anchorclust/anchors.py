@@ -11,6 +11,14 @@ so the (k+1)-th neighbour acts as a local bandwidth and each row sums to
 one by construction. When all k+1 nearest anchors are equidistant the
 ratio is 0/0; the limit assigns uniform weight 1/k over the k nearest,
 which is what we do.
+
+Each view's k-means runs on its own, so anchor j of one view and anchor
+j of another are unrelated centres. build_all therefore permutes the
+graph columns of each view v >= 1 to best match view 0's: graph column j
+of view v is anchor row perm_v[j] of that view's AnchorSet, where perm_v
+maximizes tr(S_0^T S_v[:, perm_v]) (Wang et al., "Align then Fusion",
+NeurIPS 2022). View 0 keeps its order, so the consensus graph's columns
+follow view 0's anchors.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import linear_sum_assignment
 
 from . import dataset as dataset_mod
 from .dataset import MultiViewDataset
@@ -260,8 +269,18 @@ def build_anchor_graph(X: np.ndarray, anchors: np.ndarray, k: int) -> sp.csr_arr
     return S
 
 
+def column_alignment(S0: sp.csr_array, S: sp.csr_array) -> np.ndarray:
+    """The column permutation perm of S that best matches S0: it maximizes
+    tr(S0^T S[:, perm]) = sum_j <S0[:, j], S[:, perm[j]]>, solved by the
+    Hungarian method on the m x m cross-Gram S0^T S (O(n k^2) to form)."""
+    return linear_sum_assignment((S0.T @ S).toarray(), maximize=True)[1]
+
+
 def build_all(ds: MultiViewDataset, anchor_set: AnchorSet, k: int) -> AnchorGraphSet:
-    """Anchor graph per view; O(n*m*d) after anchor selection."""
+    """Anchor graph per view, with the columns of each view v >= 1 permuted
+    to match view 0's (see column_alignment): column j of graph v is row
+    perm_v[j] of anchor_set.anchors[v], and view 0 keeps its order.
+    O(n*m*d) after anchor selection."""
     if len(anchor_set.anchors) != ds.num_views:
         raise ShapeMismatch(
             f"{len(anchor_set.anchors)} anchor matrices for {ds.num_views} views"
@@ -269,6 +288,11 @@ def build_all(ds: MultiViewDataset, anchor_set: AnchorSet, k: int) -> AnchorGrap
     graphs = [
         build_anchor_graph(X, C, k) for X, C in zip(ds.views, anchor_set.anchors)
     ]
+    for S in graphs[1:]:
+        new_column = np.argsort(column_alignment(graphs[0], S)).astype(S.indices.dtype)
+        S.indices = new_column[S.indices]
+        S.has_sorted_indices = False
+        S.sort_indices()
     return AnchorGraphSet(graphs=graphs, k=k)
 
 

@@ -160,7 +160,7 @@ def resolve_config(args: argparse.Namespace, sweep: bool = False) -> RunConfig:
     if config_path:
         try:
             file_map = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise MalformedConfig(f"{config_path}: {exc}") from None
         if not isinstance(file_map, dict):
             raise MalformedConfig(f"{config_path}: top level must be an object")
@@ -476,7 +476,8 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
                    help="z-score features per view")
     p.add_argument("--cache-graphs", action="store_true", default=None)
     p.add_argument("--save-graph", action="store_true", default=None,
-                   help="also write the learned consensus graph")
+                   help="also write the learned consensus graph, its "
+                   "columns in view 0's anchor order")
 
 
 # a sweep grid: its distinct values in first-seen order

@@ -135,26 +135,35 @@ def _parse_csv_matrix(path: Path, dims: int) -> np.ndarray:
     return _parse_csv_lines(path, dims)
 
 
+def _text_lines(path: Path):
+    """(line number, stripped line) for each non-blank line of a UTF-8
+    text file; bytes that are not UTF-8 raise NonFiniteValue."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise NonFiniteValue(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _parse_csv_lines(path: Path, dims: int) -> np.ndarray:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split(",")
-            if len(tokens) != dims:
-                raise ShapeMismatch(
-                    f"{path}: line {lineno} has {len(tokens)} columns, "
-                    f"meta declares dims={dims}"
-                )
-            try:
-                rows.append([float(t) for t in tokens])
-            except ValueError:
-                bad = next(t for t in tokens if not _is_float(t))
-                raise NonFiniteValue(
-                    f"{path}: line {lineno}: {bad!r} is not a decimal real"
-                ) from None
+    for lineno, line in _text_lines(path):
+        tokens = line.split(",")
+        if len(tokens) != dims:
+            raise ShapeMismatch(
+                f"{path}: line {lineno} has {len(tokens)} columns, "
+                f"meta declares dims={dims}"
+            )
+        try:
+            rows.append([float(t) for t in tokens])
+        except ValueError:
+            bad = next(t for t in tokens if not _is_float(t))
+            raise NonFiniteValue(
+                f"{path}: line {lineno}: {bad!r} is not a decimal real"
+            ) from None
     if not rows:
         raise ShapeMismatch(f"{path}: empty view file")
     return np.asarray(rows, dtype=np.float64)
@@ -197,7 +206,7 @@ def load_dataset(root_path) -> MultiViewDataset:
         raise MissingFile(f"{meta_path}: no such file")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise MalformedMeta(f"{meta_path}: {exc}") from None
     if not isinstance(meta, dict):
         raise MalformedMeta(f"{meta_path}: top level must be an object")
@@ -251,17 +260,13 @@ def load_labels_file(path, expected_n: int | None = None) -> np.ndarray:
     if not path.is_file():
         raise MissingFile(f"{path}: no such file")
     raw = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw.append(int(line))
-            except ValueError:
-                raise NonFiniteValue(
-                    f"{path}: line {lineno}: {line!r} is not an integer label"
-                ) from None
+    for lineno, line in _text_lines(path):
+        try:
+            raw.append(int(line))
+        except ValueError:
+            raise NonFiniteValue(
+                f"{path}: line {lineno}: {line!r} is not an integer label"
+            ) from None
     if expected_n is not None and len(raw) != expected_n:
         raise ShapeMismatch(
             f"{path}: {len(raw)} labels, expected n={expected_n}"
@@ -310,12 +315,12 @@ def write_matrix_csv(X: np.ndarray, path) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a header-less CSV matrix, inferring the column count from line 1."""
+    """Read a header-less CSV matrix, inferring the column count from its
+    first non-blank line."""
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"{path}: no such file")
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
+    _, first = next(_text_lines(path), (0, ""))
     if not first:
         raise ShapeMismatch(f"{path}: empty matrix file")
     return _parse_csv_matrix(path, dims=len(first.split(",")))

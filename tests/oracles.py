@@ -73,6 +73,20 @@ def dense_anchor_graph(X, anchors, k):
     return S
 
 
+def best_column_permutation(S0, S):
+    """Brute force over all m! column orders of S (m <= 6): the perm with
+    the largest sum_j <S0[:, j], S[:, perm[j]]>, from dense column dot
+    products, and that trace."""
+    S0, S = dense(S0), dense(S)
+    m = S.shape[1]
+    if m > 6:
+        raise ValueError("permutation oracle supports m <= 6")
+    dots = np.array([[S0[:, i] @ S[:, j] for j in range(m)] for i in range(m)])
+    best = max(itertools.permutations(range(m)),
+               key=lambda perm: sum(dots[j, perm[j]] for j in range(m)))
+    return np.array(best), sum(dots[j, best[j]] for j in range(m))
+
+
 def lloyd_bincount_centers(X, assign, m):
     """Cluster means by one weighted bincount per column, the loop Lloyd's
     update ran before the one-hot product; an empty cluster gets a zero row."""

@@ -161,6 +161,21 @@ class TestFitCommand:
         assert code == 2
         assert "bogus_knob" in capsys.readouterr().err
 
+    def test_non_utf8_view_exits_3(self, blob_dir, tmp_path, capsys):
+        with open(blob_dir / "view0.csv", "ab") as fh:
+            fh.write(b"\xff\xfe")
+        code = main(fit_args(blob_dir, tmp_path / "o"))
+        assert code == 3
+        assert "data error [NonFiniteValue]" in capsys.readouterr().err
+
+    def test_non_utf8_config_file_exits_2(self, blob_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"c": 3}\xff')
+        code = main(["fit", str(blob_dir), "--output", str(tmp_path / "o"),
+                     "--config", str(cfg)])
+        assert code == 2
+        assert "config error [MalformedConfig]" in capsys.readouterr().err
+
     def test_config_file_with_qp_tol_exits_2(self, blob_dir, tmp_path, capsys):
         # the view-weight QP's tolerance is a solver constant, not a config key
         cfg = tmp_path / "cfg.json"
@@ -509,6 +524,12 @@ class TestReconstructCommand:
         B = np.loadtxt(out, delimiter=",")
         assert B.shape == (8, 8)
         assert np.allclose(B.sum(axis=1), 1.0, atol=1e-8)
+
+    def test_blank_first_line(self, tmp_path):
+        (tmp_path / "S.csv").write_text("\n0.5,0.5\n1,0\n")
+        out = tmp_path / "B.csv"
+        assert main(["reconstruct-graph", str(tmp_path / "S.csv"), str(out)]) == 0
+        assert np.loadtxt(out, delimiter=",").shape == (2, 2)
 
     def test_top_k_coo_output(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -109,6 +109,26 @@ class TestLoad:
         with pytest.raises(ShapeMismatch, match="line 2"):
             load_dataset(root)
 
+    @pytest.mark.parametrize("text", [b"1.0\n2.0\n\xff\xfe", b"\xff1.0\n2.0\n"])
+    def test_non_utf8_view(self, tmp_path, text):
+        root = write_fixture(tmp_path / "d", [[[1.0], [2.0]]])
+        (root / "v0.csv").write_bytes(text)
+        with pytest.raises(NonFiniteValue, match="not UTF-8"):
+            load_dataset(root)
+
+    def test_non_utf8_labels(self, tmp_path):
+        root = write_fixture(tmp_path / "d", [[[1.0], [2.0]]], labels=[0, 1])
+        (root / "y.txt").write_bytes(b"0\n1\xff\n")
+        with pytest.raises(NonFiniteValue, match="not UTF-8"):
+            load_dataset(root)
+
+    def test_non_utf8_meta(self, tmp_path):
+        root = write_fixture(tmp_path / "d", [[[1.0], [2.0]]])
+        with open(root / "meta.json", "ab") as fh:
+            fh.write(b"\xff\xfe")
+        with pytest.raises(MalformedMeta):
+            load_dataset(root)
+
     def test_labels_remapped_first_occurrence(self, tmp_path):
         views = [[[1.0], [2.0], [3.0], [4.0]]]
         root = write_fixture(tmp_path / "d", views, labels=[7, 3, 7, 9])
@@ -298,6 +318,22 @@ class TestHelpers:
         X = np.random.default_rng(1).standard_normal((4, 3))
         write_matrix_csv(X, tmp_path / "m.csv")
         assert np.array_equal(read_matrix_csv(tmp_path / "m.csv"), X)
+
+    @pytest.mark.parametrize("text", ["\n1,2\n3,4\n", " \n\n1,2\n3,4"])
+    def test_matrix_csv_width_from_first_non_blank_line(self, tmp_path, text):
+        (tmp_path / "m.csv").write_text(text)
+        assert np.array_equal(read_matrix_csv(tmp_path / "m.csv"), [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("text", [b"1,2\n3,4\n\xff\xfe", b"\xff1,2\n3,4\n"])
+    def test_matrix_csv_non_utf8(self, tmp_path, text):
+        (tmp_path / "m.csv").write_bytes(text)
+        with pytest.raises(NonFiniteValue, match="not UTF-8"):
+            read_matrix_csv(tmp_path / "m.csv")
+
+    def test_labels_file_non_utf8(self, tmp_path):
+        (tmp_path / "y.txt").write_bytes(b"\xfe5\n2\n")
+        with pytest.raises(NonFiniteValue, match="not UTF-8"):
+            load_labels_file(tmp_path / "y.txt")
 
     def test_labels_file_round_trip(self, tmp_path):
         (tmp_path / "y.txt").write_text("5\n5\n2\n8\n")

@@ -449,7 +449,10 @@ def assert_matches_dense_reference(result, graphs, cfg):
     history, labels, ref = dense_reference_fit(graphs, cfg)
     got = np.asarray(result.state.objective_history)
     assert got.shape == (len(history),)
-    rel = np.abs(got - history) / np.maximum(np.abs(history), 1e-300)
+    # relative to the data scale sum_v ||S_v||^2 where the objective is
+    # zero up to rounding (beta = gamma = 0)
+    scale = float(np.trace(graphs.Q))
+    rel = np.abs(got - history) / np.maximum(np.abs(history), scale)
     assert rel.max() <= 1e-12
     assert np.array_equal(result.labels, labels)
     assert np.max(np.abs(result.state.alpha - ref.alpha)) <= 1e-12

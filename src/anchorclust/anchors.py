@@ -39,9 +39,9 @@ from .errors import (
     DegenerateRowWarning,
     DegenerateViewWarning,
     InvalidParameter,
-    IoError,
     MalformedMeta,
     ShapeMismatch,
+    io_errors,
 )
 
 ANCHOR_KEY_FILE = "anchor_key.json"
@@ -314,14 +314,12 @@ def save_anchor_set(anchor_set: AnchorSet, root_path, key: dict) -> None:
     root = Path(root_path)
     key_path = root / ANCHOR_KEY_FILE
     entry = MultiViewDataset(views=anchor_set.anchors)
-    try:
+    with io_errors(f"writing anchor cache {key_path}"):
         key_path.unlink(missing_ok=True)
         for old in [root / "anchor_graphs.json", *root.glob("graph*.csv")]:
             old.unlink(missing_ok=True)
         dataset_mod.save_dataset(entry, root_path, fmt="f64le")
         key_path.write_text(json.dumps(key) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"writing anchor cache {key_path}: {exc}") from None
 
 
 def load_anchor_set(root_path, key: dict) -> AnchorSet | None:

@@ -12,9 +12,13 @@ the required arguments set. They come from built-in defaults, then an
 optional named preset, then an optional JSON config file, then explicit
 flags, in that order. A setting that no dataset can make valid, or that
 would never take effect (a sweep's --beta), is rejected before the load.
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-breakdown. A sweep loads the dataset once and builds anchor graphs once
-per m; its (beta, gamma) cells share them. ANCHORCLUST_WORKERS sets the worker pool that solves the cells.
+
+A sweep loads the dataset once and builds anchor graphs once per m; its
+(beta, gamma) cells share them and are solved in ANCHORCLUST_WORKERS
+processes (default 1, this process).
+
+Exit codes: 0 success, else the exit_status of the error's category in
+errors.py: 2 config, 3 data (file reads and writes included), 4 numerical.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import time
 import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,17 +42,13 @@ from . import anchors as anchors_mod
 from . import dataset as dataset_mod
 from . import graph_tools, metrics, solver
 from .errors import (
-    AllZeroGraph,
     AnchorClustError,
+    ConfigError,
+    DataError,
     InvalidParameter,
-    IoError,
-    LengthMismatch,
     MalformedConfig,
-    MalformedMeta,
-    MissingFile,
-    NonFiniteValue,
     NumericalBreakdown,
-    ShapeMismatch,
+    io_errors,
 )
 
 PRESETS = {
@@ -65,21 +64,6 @@ PRESETS = {
 }
 
 DEFAULT_K = 5
-
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERICAL = 4
-
-_CONFIG_ERRORS = (MalformedConfig, InvalidParameter)
-_DATA_ERRORS = (
-    MissingFile,
-    ShapeMismatch,
-    NonFiniteValue,
-    MalformedMeta,
-    IoError,
-    LengthMismatch,
-    AllZeroGraph,
-)
 
 
 @dataclass
@@ -221,15 +205,6 @@ class GraphBuild:
     cached: bool
 
 
-@contextmanager
-def _writing(path):
-    """Raise an OSError of the writes under path as IoError (exit 3)."""
-    try:
-        yield
-    except OSError as exc:
-        raise IoError(f"writing {path}: {exc}") from None
-
-
 def load_data(cfg: RunConfig):
     """Load the dataset, z-scored under --normalize."""
     ds = dataset_mod.load_dataset(cfg.dataset)
@@ -284,7 +259,7 @@ def solve_and_write(cfg: RunConfig, build: GraphBuild) -> dict:
         "metrics": scores,
     }
     out = Path(cfg.output_dir)
-    with _writing(out):
+    with io_errors(f"writing {out}"):
         with open(out / "labels.txt", "w", encoding="utf-8") as fh:
             fh.writelines(f"{int(y)}\n" for y in result.labels)
         with open(out / "convergence.csv", "w", encoding="utf-8", newline="") as fh:
@@ -306,7 +281,7 @@ def run_fit(cfg: RunConfig, build: GraphBuild | None = None) -> dict:
     writes run. The output directory is made first, so an unusable
     --output fails before any load or solve."""
     out = Path(cfg.output_dir)
-    with _writing(out):
+    with io_errors(f"writing {out}"):
         out.mkdir(parents=True, exist_ok=True)
     if build is None:
         ds = load_data(cfg)
@@ -341,7 +316,7 @@ def cmd_reconstruct_graph(args) -> int:
         )
         S = np.maximum(S, 0.0)
     out = Path(args.output)
-    with _writing(out):
+    with io_errors(f"writing {out}"):
         out.parent.mkdir(parents=True, exist_ok=True)
         if args.top_k is not None:
             coo = graph_tools.reconstruct_top_k(S, args.top_k).tocoo()
@@ -358,10 +333,6 @@ def cmd_reconstruct_graph(args) -> int:
                 dataset_mod.write_matrix_csv(B, out)
     print(f"wrote {out}")
     return 0
-
-
-def _error_text(exc: AnchorClustError) -> str:
-    return f"{type(exc).__name__}: {exc}"
 
 
 def _shared_builds(cfg: RunConfig, m_grid) -> dict:
@@ -402,14 +373,14 @@ def _sweep_cell(cfg: RunConfig, build) -> dict:
     recorded, never raised."""
     row = {"m": cfg.m, "beta": cfg.beta, "gamma": cfg.gamma, "status": "ok",
            "error": ""}
-    if isinstance(build, AnchorClustError):
-        return {**row, "status": "failed", "error": _error_text(build)}
     try:
+        if isinstance(build, AnchorClustError):
+            raise build
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             record = run_fit(cfg, build)
     except AnchorClustError as exc:
-        return {**row, "status": "failed", "error": _error_text(exc)}
+        return {**row, "status": "failed", "error": f"{type(exc).__name__}: {exc}"}
     row.update(
         final_objective=record["final_objective"],
         iterations=record["iterations"],
@@ -447,7 +418,7 @@ def cmd_sweep(args) -> int:
         "f_score", "precision", "final_objective", "iterations", "converged",
         "error",
     ]
-    with _writing(out / "sweep.csv"):
+    with io_errors(f"writing {out / 'sweep.csv'}"):
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields, restval="")
@@ -528,15 +499,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"config error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return exc.exit_status
     except NumericalBreakdown as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _DATA_ERRORS as exc:
+        return exc.exit_status
+    except DataError as exc:
         print(f"data error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return exc.exit_status
 
 
 if __name__ == "__main__":

@@ -28,11 +28,11 @@ import numpy as np
 
 from .errors import (
     InvalidParameter,
-    IoError,
     MalformedMeta,
     MissingFile,
     NonFiniteValue,
     ShapeMismatch,
+    io_errors,
 )
 
 VIEW_FORMATS = ("csv", "f64le")
@@ -121,17 +121,18 @@ def _parse_csv_matrix(path: Path, dims: int) -> np.ndarray:
     accepts (underscores, whitespace-only lines) and raises the typed,
     line-numbered errors. A blank file skips loadtxt and its no-data
     warning."""
-    with open(path, "rb") as fh:
-        blank = not any(line.strip() for line in fh)
-    if not blank:
-        try:
-            X = np.loadtxt(path, delimiter=",", dtype=np.float64, comments=None,
-                           ndmin=2, encoding="utf-8")
-        except ValueError:
-            pass
-        else:
-            if X.shape[0] and X.shape[1] == dims:
-                return X
+    with io_errors(f"reading {path}"):
+        with open(path, "rb") as fh:
+            blank = not any(line.strip() for line in fh)
+        if not blank:
+            try:
+                X = np.loadtxt(path, delimiter=",", dtype=np.float64,
+                               comments=None, ndmin=2, encoding="utf-8")
+            except ValueError:
+                pass
+            else:
+                if X.shape[0] and X.shape[1] == dims:
+                    return X
     return _parse_csv_lines(path, dims)
 
 
@@ -139,7 +140,7 @@ def _text_lines(path: Path):
     """(line number, stripped line) for each non-blank line of a UTF-8
     text file; bytes that are not UTF-8 raise NonFiniteValue."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with io_errors(f"reading {path}"), open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if line:
@@ -157,28 +158,23 @@ def _parse_csv_lines(path: Path, dims: int) -> np.ndarray:
                 f"{path}: line {lineno} has {len(tokens)} columns, "
                 f"meta declares dims={dims}"
             )
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError:
-            bad = next(t for t in tokens if not _is_float(t))
-            raise NonFiniteValue(
-                f"{path}: line {lineno}: {bad!r} is not a decimal real"
-            ) from None
+        row = []
+        for token in tokens:
+            try:
+                row.append(float(token))
+            except ValueError:
+                raise NonFiniteValue(
+                    f"{path}: line {lineno}: {token!r} is not a decimal real"
+                ) from None
+        rows.append(row)
     if not rows:
         raise ShapeMismatch(f"{path}: empty view file")
     return np.asarray(rows, dtype=np.float64)
 
 
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
-
-
 def _parse_f64le_matrix(path: Path, n: int, dims: int) -> np.ndarray:
-    data = np.fromfile(path, dtype="<f8")
+    with io_errors(f"reading {path}"):
+        data = np.fromfile(path, dtype="<f8")
     if data.size != n * dims:
         raise ShapeMismatch(
             f"{path}: {data.size} float64 values, expected n*dims = {n}*{dims}"
@@ -263,9 +259,11 @@ def load_labels_file(path, expected_n: int | None = None) -> np.ndarray:
     for lineno, line in _text_lines(path):
         try:
             raw.append(int(line))
+            if not -(2**63) <= raw[-1] < 2**63:
+                raise ValueError("outside the int64 range")
         except ValueError:
             raise NonFiniteValue(
-                f"{path}: line {lineno}: {line!r} is not an integer label"
+                f"{path}: line {lineno}: {line!r} is not an int64 label"
             ) from None
     if expected_n is not None and len(raw) != expected_n:
         raise ShapeMismatch(
@@ -279,7 +277,7 @@ def save_dataset(ds: MultiViewDataset, root_path, fmt: str = "csv") -> None:
     if fmt not in VIEW_FORMATS:
         raise InvalidParameter(f"format {fmt!r} not one of {VIEW_FORMATS}")
     root = Path(root_path)
-    try:
+    with io_errors(f"writing dataset under {root}"):
         root.mkdir(parents=True, exist_ok=True)
         entries = []
         for i, (name, X) in enumerate(zip(ds.view_names, ds.views)):
@@ -301,8 +299,6 @@ def save_dataset(ds: MultiViewDataset, root_path, fmt: str = "csv") -> None:
         (root / "meta.json").write_text(
             json.dumps(meta, indent=2) + "\n", encoding="utf-8"
         )
-    except OSError as exc:
-        raise IoError(f"writing dataset under {root}: {exc}") from None
 
 
 def write_matrix_csv(X: np.ndarray, path) -> None:

@@ -1,48 +1,78 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Every error sits under exactly one of three categories, ConfigError,
+DataError and NumericalBreakdown, whose exit_status is the command-line
+exit status. io_errors turns an OSError of a file read or write into IoError.
+"""
+
+from contextlib import contextmanager
 
 
 class AnchorClustError(Exception):
     """Base class for every error raised by this library."""
 
 
-class MissingFile(AnchorClustError):
+class ConfigError(AnchorClustError):
+    """A run setting or an argument is invalid."""
+
+    exit_status = 2
+
+
+class DataError(AnchorClustError):
+    """An input or output file is missing, unreadable, unwritable or unusable."""
+
+    exit_status = 3
+
+
+class MissingFile(DataError):
     """A file declared in dataset metadata does not exist."""
 
 
-class ShapeMismatch(AnchorClustError):
+class ShapeMismatch(DataError):
     """Matrix dimensions disagree with metadata or with sibling views."""
 
 
-class NonFiniteValue(AnchorClustError):
+class NonFiniteValue(DataError):
     """A matrix or labels entry is NaN, infinite, or not parseable as a number."""
 
 
-class MalformedMeta(AnchorClustError):
+class MalformedMeta(DataError):
     """meta.json is missing, unparseable, or violates the schema."""
 
 
-class MalformedConfig(AnchorClustError):
+class MalformedConfig(ConfigError):
     """A run-configuration file or flag set is invalid."""
 
 
-class IoError(AnchorClustError):
-    """Writing dataset or result files failed."""
+class IoError(DataError):
+    """Reading or writing a dataset, cache or result file failed."""
 
 
-class InvalidParameter(AnchorClustError):
+class InvalidParameter(ConfigError):
     """An argument violates a documented precondition."""
 
 
-class LengthMismatch(AnchorClustError):
+class LengthMismatch(DataError):
     """Two label vectors have different lengths."""
 
 
-class AllZeroGraph(AnchorClustError):
+class AllZeroGraph(DataError):
     """Every column of the anchor graph sums to zero."""
 
 
 class NumericalBreakdown(AnchorClustError):
     """The objective became non-finite; the configuration is unusable."""
+
+    exit_status = 4
+
+
+@contextmanager
+def io_errors(what: str):
+    """Raise an OSError inside the block as IoError("<what>: <error>")."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoError(f"{what}: {exc}") from None
 
 
 class DegenerateViewWarning(UserWarning):

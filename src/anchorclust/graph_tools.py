@@ -36,6 +36,20 @@ def _check_graph(S: np.ndarray) -> np.ndarray:
     return S
 
 
+def _drop_zero_columns(S: np.ndarray):
+    """(D, Sk, Sk / D_k): the column sums of S, S without its all-zero
+    anchor columns (dropping any warns), and Sk over its column sums."""
+    D = S.sum(axis=0)
+    keep = D > 0
+    if not keep.any():
+        raise AllZeroGraph("every anchor column sums to zero")
+    if not keep.all():
+        warnings.warn(f"dropped {int((~keep).sum())} all-zero anchor column(s)",
+                      stacklevel=3)
+    Sk = S[:, keep]
+    return D, Sk, Sk / D[keep]
+
+
 def reconstruct_full_graph(S: np.ndarray, dense_cap: int = DENSE_N_CAP) -> FullGraph:
     """Dense B = S D^-1 S^T. Zero anchor columns carry no mass and are
     dropped with a warning; n is capped because B is O(n^2) by nature."""
@@ -46,33 +60,19 @@ def reconstruct_full_graph(S: np.ndarray, dense_cap: int = DENSE_N_CAP) -> FullG
             f"n={n} exceeds the dense cap {dense_cap}; use the top-k "
             "sparsified reconstruction instead"
         )
-    D = S.sum(axis=0)
-    keep = D > 0
-    if not keep.any():
-        raise AllZeroGraph("every anchor column sums to zero")
-    if not keep.all():
-        warnings.warn(
-            f"dropped {int((~keep).sum())} all-zero anchor column(s)",
-            stacklevel=2,
-        )
-    Sk = S[:, keep]
-    B = (Sk / D[keep]) @ Sk.T
-    return FullGraph(B=B, D=D)
+    D, Sk, SD = _drop_zero_columns(S)
+    return FullGraph(B=SD @ Sk.T, D=D)
 
 
 def reconstruct_top_k(S: np.ndarray, top_k: int, block_size: int = 2048) -> sp.csr_matrix:
     """Sparse reconstruction keeping the top_k largest entries per row of B,
-    computed blockwise so the dense n x n matrix never materializes."""
+    computed blockwise so the dense n x n matrix never materializes. Zero
+    anchor columns are dropped with a warning."""
     S = _check_graph(S)
     if top_k < 1:
         raise InvalidParameter(f"top_k must be >= 1, got {top_k}")
     n = S.shape[0]
-    D = S.sum(axis=0)
-    keep = D > 0
-    if not keep.any():
-        raise AllZeroGraph("every anchor column sums to zero")
-    Sk = S[:, keep]
-    SD = Sk / D[keep]
+    _, Sk, SD = _drop_zero_columns(S)
     top_k = min(top_k, n)
 
     rows, cols, vals = [], [], []

@@ -1,6 +1,7 @@
 """External clustering metrics: ACC, NMI, Purity, ARI, pairwise F-score
 and Precision. All are computed from one contingency table and are
-invariant under relabeling of either partition."""
+invariant under relabeling of either partition. Each metric is a function
+of the table; evaluate_all builds the table once for all six."""
 
 from __future__ import annotations
 
@@ -18,14 +19,6 @@ class ContingencyTable:
 
     counts: np.ndarray
     n: int
-
-    @property
-    def pred_sizes(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def true_sizes(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
 
 
 def contingency(pred, truth) -> ContingencyTable:
@@ -45,10 +38,7 @@ def contingency(pred, truth) -> ContingencyTable:
     return ContingencyTable(counts=counts, n=pred.size)
 
 
-def accuracy(pred, truth) -> float:
-    """Best cluster-to-class matching rate, via optimal assignment on a
-    square zero-padded contingency table."""
-    ct = contingency(pred, truth)
+def _accuracy(ct: ContingencyTable) -> float:
     side = max(ct.counts.shape)
     padded = np.zeros((side, side), dtype=np.int64)
     padded[: ct.counts.shape[0], : ct.counts.shape[1]] = ct.counts
@@ -56,14 +46,11 @@ def accuracy(pred, truth) -> float:
     return int(padded[rows, cols].sum()) / ct.n
 
 
-def nmi(pred, truth) -> float:
-    """Mutual information normalized by sqrt(H(pred) * H(truth)), natural
-    logs. Both entropies zero means both partitions are the trivial single
-    cluster, which are identical, so the score is 1."""
-    ct = contingency(pred, truth)
+def _nmi(ct: ContingencyTable) -> float:
     n = ct.n
-    p_pred = ct.pred_sizes / n
-    p_true = ct.true_sizes / n
+    pred_sizes, true_sizes = ct.counts.sum(axis=1), ct.counts.sum(axis=0)
+    p_pred = pred_sizes / n
+    p_true = true_sizes / n
     h_pred = -np.sum(p_pred * np.log(p_pred))
     h_true = -np.sum(p_true * np.log(p_true))
     if h_pred == 0.0 and h_true == 0.0:
@@ -72,34 +59,23 @@ def nmi(pred, truth) -> float:
         return 0.0
     nz = ct.counts > 0
     nij = ct.counts[nz].astype(np.float64)
-    outer = np.outer(ct.pred_sizes, ct.true_sizes)[nz].astype(np.float64)
+    outer = np.outer(pred_sizes, true_sizes)[nz].astype(np.float64)
     mi = float(np.sum((nij / n) * np.log(n * nij / outer)))
     return float(min(max(mi / np.sqrt(h_pred * h_true), 0.0), 1.0))
 
 
-def purity(pred, truth) -> float:
-    """Fraction of samples in the majority class of their predicted cluster."""
-    ct = contingency(pred, truth)
+def _purity(ct: ContingencyTable) -> float:
     return int(ct.counts.max(axis=1).sum()) / ct.n
 
 
-def _comb2(x) -> int:
-    x = int(x)
-    return x * (x - 1) // 2
-
-
 def pair_counts(ct: ContingencyTable) -> tuple[int, int, int, int]:
-    """(TP, pairs co-clustered in pred, pairs co-clustered in truth, all pairs)."""
-    tp = int(sum(_comb2(v) for v in ct.counts.ravel()))
-    pred_pairs = int(sum(_comb2(v) for v in ct.pred_sizes))
-    true_pairs = int(sum(_comb2(v) for v in ct.true_sizes))
-    return tp, pred_pairs, true_pairs, _comb2(ct.n)
+    """(TP, pairs co-clustered in pred, pairs co-clustered in truth, all
+    pairs): sums of x choose 2, exact in int64 for n below 3e9."""
+    sizes = (ct.counts, ct.counts.sum(axis=1), ct.counts.sum(axis=0), ct.n)
+    return tuple(int(np.sum(x * (x - 1) // 2)) for x in sizes)
 
 
-def ari(pred, truth) -> float:
-    """Adjusted Rand index from contingency-table pair counts."""
-    ct = contingency(pred, truth)
-    tp, pred_pairs, true_pairs, total = pair_counts(ct)
+def _ari(tp: int, pred_pairs: int, true_pairs: int, total: int) -> float:
     if pred_pairs == true_pairs and (pred_pairs == 0 or pred_pairs == total):
         # both partitions trivial in the same way, hence identical
         return 1.0
@@ -108,24 +84,51 @@ def ari(pred, truth) -> float:
     return (tp - expected) / (max_index - expected)
 
 
-def pairwise_f_precision(pred, truth) -> tuple[float, float]:
-    """(F-score, precision) over unordered sample pairs; 0/0 counts as 0."""
-    ct = contingency(pred, truth)
-    tp, pred_pairs, true_pairs, _ = pair_counts(ct)
+def _f_precision(tp: int, pred_pairs: int, true_pairs: int, _) -> tuple[float, float]:
     precision = tp / pred_pairs if pred_pairs else 0.0
     recall = tp / true_pairs if true_pairs else 0.0
     f = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return f, precision
 
 
+def accuracy(pred, truth) -> float:
+    """Best cluster-to-class matching rate, via optimal assignment on a
+    square zero-padded contingency table."""
+    return _accuracy(contingency(pred, truth))
+
+
+def nmi(pred, truth) -> float:
+    """Mutual information normalized by sqrt(H(pred) * H(truth)), natural
+    logs. Both entropies zero means both partitions are the trivial single
+    cluster, which are identical, so the score is 1."""
+    return _nmi(contingency(pred, truth))
+
+
+def purity(pred, truth) -> float:
+    """Fraction of samples in the majority class of their predicted cluster."""
+    return _purity(contingency(pred, truth))
+
+
+def ari(pred, truth) -> float:
+    """Adjusted Rand index from contingency-table pair counts."""
+    return _ari(*pair_counts(contingency(pred, truth)))
+
+
+def pairwise_f_precision(pred, truth) -> tuple[float, float]:
+    """(F-score, precision) over unordered sample pairs; 0/0 counts as 0."""
+    return _f_precision(*pair_counts(contingency(pred, truth)))
+
+
 def evaluate_all(pred, truth) -> dict[str, float]:
     """The six standard metrics as one dict (insertion order fixed)."""
-    f, prec = pairwise_f_precision(pred, truth)
+    ct = contingency(pred, truth)
+    pairs = pair_counts(ct)
+    f, prec = _f_precision(*pairs)
     return {
-        "acc": accuracy(pred, truth),
-        "nmi": nmi(pred, truth),
-        "purity": purity(pred, truth),
-        "ari": ari(pred, truth),
+        "acc": _accuracy(ct),
+        "nmi": _nmi(ct),
+        "purity": _purity(ct),
+        "ari": _ari(*pairs),
         "f_score": f,
         "precision": prec,
     }

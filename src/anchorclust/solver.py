@@ -69,15 +69,15 @@ class SolverConfig:
     def __post_init__(self):
         if self.c < 1:
             raise InvalidParameter(f"c must be >= 1, got {self.c}")
-        if self.beta < 0 or self.gamma < 0:
+        # each test is written so that NaN fails it
+        if not (0 <= self.beta < np.inf and 0 <= self.gamma < np.inf):
             raise InvalidParameter(
-                f"beta and gamma must be >= 0, got beta={self.beta}, "
-                f"gamma={self.gamma}"
+                f"need 0 <= beta, gamma < inf, got beta={self.beta}, gamma={self.gamma}"
             )
         if self.max_iters < 1:
             raise InvalidParameter(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.rel_tol <= 0:
-            raise InvalidParameter(f"rel_tol must be > 0, got {self.rel_tol}")
+        if not 0 < self.rel_tol < np.inf:
+            raise InvalidParameter(f"need 0 < rel_tol < inf, got {self.rel_tol}")
 
 
 class SolverState:

@@ -1,7 +1,10 @@
 import ast
+import builtins
 import csv
 import dataclasses
+import errno
 import json
+import os
 import pickle
 import warnings
 from pathlib import Path
@@ -21,7 +24,14 @@ from anchorclust.dataset import (
     synth_blobs,
     write_matrix_csv,
 )
-from anchorclust.errors import DegenerateViewWarning, MalformedConfig
+from anchorclust.errors import (
+    AnchorClustError,
+    ConfigError,
+    DataError,
+    DegenerateViewWarning,
+    MalformedConfig,
+    NumericalBreakdown,
+)
 
 
 def read_results(output_dir) -> dict:
@@ -81,7 +91,7 @@ SETTING_VALUES = {
 
 # bad in every sweep cell too: flags, or a config file's key
 SHARED_BAD_SETTINGS = ["--c=0", "--k=0", "--max-iters=0", "--rel-tol=0",
-                       "config:max_iters=0"]
+                       "--rel-tol=nan", "--rel-tol=inf", "config:max_iters=0"]
 
 
 def fit_args(dataset, output, **over):
@@ -466,7 +476,8 @@ class TestFitCommand:
     @pytest.mark.parametrize(
         "command, setting",
         [(cmd, s) for cmd in ("fit", "sweep") for s in SHARED_BAD_SETTINGS]
-        + [("fit", s) for s in ("--m=1", "--beta=-1", "--gamma=-0.5")])
+        + [("fit", s) for s in ("--m=1", "--beta=-1", "--gamma=-0.5", "--beta=nan",
+                                "--beta=inf", "--gamma=nan", "--gamma=inf")])
     def test_bad_setting_exits_2_before_load(self, blob_dir, tmp_path, capsys,
                                             monkeypatch, command, setting):
         # a sweep takes m, beta and gamma from its grids, where a bad value
@@ -511,6 +522,90 @@ class TestEvaluateCommand:
         (tmp_path / "a.txt").write_text("0\n1\n")
         (tmp_path / "b.txt").write_text("0\n1\n0\n")
         assert main(["evaluate", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]) == 3
+
+
+@pytest.mark.parametrize("label", ["99999999999999999999999", "-9223372036854775809"])
+def test_label_outside_int64_exits_3(blob_dir, tmp_path, capsys, label):
+    labels = blob_dir / "labels.txt"
+    lines = labels.read_text().splitlines()
+    lines[4] = label
+    labels.write_text("\n".join(lines) + "\n")
+    message = f"data error [NonFiniteValue]: {labels}: line 5: '{label}' is not an int64 label"
+    assert main(fit_args(blob_dir, tmp_path / "o")) == 3
+    assert message in capsys.readouterr().err
+    assert main(["evaluate", str(labels), str(labels)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def fail_reads_under(monkeypatch, target: Path) -> None:
+    """Make open and np.fromfile raise EIO on target and the files under
+    it; every other path reads as before. File modes cannot make a read
+    fail for root, so the failure is injected."""
+    def failing(real):
+        def fake(path, *args, **kwargs):
+            if isinstance(path, (str, os.PathLike)) and (
+                    Path(path) == target or target in Path(path).parents):
+                raise OSError(errno.EIO, os.strerror(errno.EIO), str(path))
+            return real(path, *args, **kwargs)
+        return fake
+
+    monkeypatch.setattr(builtins, "open", failing(builtins.open))
+    monkeypatch.setattr(np, "fromfile", failing(np.fromfile))
+
+
+class TestReadFailures:
+    """An OSError while reading an input exits 3 as IoError naming the file."""
+
+    @pytest.mark.parametrize("fmt, name", [("csv", "view0.csv"), ("f64le", "view1.f64"),
+                                           ("csv", "labels.txt")])
+    def test_dataset_file(self, tmp_path, capsys, monkeypatch, fmt, name):
+        root = tmp_path / "data"
+        save_dataset(synth_blobs(60, 3, 2, [4, 5], seed=0), root, fmt=fmt)
+        fail_reads_under(monkeypatch, root / name)
+        assert main(fit_args(root, tmp_path / "o")) == 3
+        assert f"data error [IoError]: reading {root / name}: [Errno 5]" in (
+            capsys.readouterr().err)
+
+    def test_reconstruct_input(self, tmp_path, capsys, monkeypatch):
+        graph = tmp_path / "S.csv"
+        write_matrix_csv(np.full((4, 2), 0.5), graph)
+        fail_reads_under(monkeypatch, graph)
+        assert main(["reconstruct-graph", str(graph), str(tmp_path / "B.csv")]) == 3
+        assert f"data error [IoError]: reading {graph}: [Errno 5]" in (
+            capsys.readouterr().err)
+
+    def test_cached_anchor_file(self, blob_dir, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "o"
+        argv = fit_args(blob_dir, out) + ["--cache-graphs"]
+        assert main(argv) == 0
+        fail_reads_under(monkeypatch, out / "graphs")
+        assert main(argv) == 3
+        assert f"data error [IoError]: reading {out / 'graphs' / 'view0.f64'}" in (
+            capsys.readouterr().err)
+
+
+def test_every_error_has_one_category(monkeypatch, capsys):
+    # a new error class that falls under no category would exit 1 with a
+    # traceback; each one exits with its category's status and prefix
+    prefixes = {ConfigError: "config error [{}]: ", DataError: "data error [{}]: ",
+                NumericalBreakdown: "numerical breakdown: "}
+    assert [c.exit_status for c in prefixes] == [2, 3, 4]
+    classes, pending = [], [AnchorClustError]
+    while pending:
+        subs = pending.pop().__subclasses__()
+        classes += subs
+        pending += subs
+    assert len(classes) >= 12
+    for cls in classes:
+        (category,) = [c for c in prefixes if issubclass(cls, c)]
+
+        def raising(args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_evaluate", raising)
+        assert main(["evaluate", "truth.txt", "pred.txt"]) == category.exit_status
+        err = capsys.readouterr().err
+        assert err == prefixes[category].format(cls.__name__) + "boom\n"
 
 
 class TestReconstructCommand:

@@ -29,6 +29,9 @@ def test_one_hot_rows_give_uniform_blocks():
     expected[2:, 2:] = 1.0 / 3.0
     assert np.allclose(full.B, expected, atol=1e-15)
     assert np.array_equal(full.D, [2.0, 0.0, 3.0])
+    with pytest.warns(UserWarning, match="dropped 1 all-zero anchor column"):
+        top = reconstruct_top_k(S, top_k=5, block_size=2)
+    assert np.allclose(top.toarray(), expected, atol=1e-15)
 
 
 def test_matches_naive_triple_loop():

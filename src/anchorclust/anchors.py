@@ -326,13 +326,7 @@ def load_anchor_set(root_path, key: dict) -> AnchorSet | None:
     """The anchors cached under root_path if its key file equals key,
     else None; no anchor file is read on a miss."""
     key_path = Path(root_path) / ANCHOR_KEY_FILE
-    if not key_path.is_file():
-        return None
-    try:
-        stored = json.loads(key_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise MalformedMeta(f"{key_path}: {exc}") from None
-    if stored != key:
+    if not key_path.is_file() or dataset_mod.read_json(key_path, MalformedMeta) != key:
         return None
     views = dataset_mod.load_dataset(root_path).views
     return AnchorSet(anchors=views, m=key["m"], kmeans_iters_used=0)

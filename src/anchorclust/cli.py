@@ -15,7 +15,7 @@ would never take effect (a sweep's --beta), is rejected before the load.
 
 A sweep loads the dataset once and builds anchor graphs once per m; its
 (beta, gamma) cells share them and are solved in ANCHORCLUST_WORKERS
-processes (default 1, this process).
+processes (an integer >= 1; default 1, this process).
 
 Exit codes: 0 success, else the exit_status of the error's category in
 errors.py: 2 config, 3 data (file reads and writes included), 4 numerical.
@@ -140,30 +140,26 @@ def resolve_config(args: argparse.Namespace, sweep: bool = False) -> RunConfig:
             if getattr(args, key) is not None:
                 raise MalformedConfig(f"--{key} has no effect: {why}")
 
-    preset, config_path = args.preset, args.config
-    if config_path:
-        try:
-            file_map = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise MalformedConfig(f"{config_path}: {exc}") from None
-        if not isinstance(file_map, dict):
-            raise MalformedConfig(f"{config_path}: top level must be an object")
+    file_map = {}
+    if args.config:
+        file_map = dataset_mod.read_json(Path(args.config), MalformedConfig)
         for key in file_map:
             if key in refused:
                 raise MalformedConfig(
-                    f"{config_path}: key {key!r} has no effect: {refused[key]}"
+                    f"{args.config}: key {key!r} has no effect: {refused[key]}"
                 )
-        # consumed here; an explicit --preset flag wins over the file's
-        preset = preset or file_map.pop("preset", None)
-
-    if preset:
-        if preset not in PRESETS:
+    # the file's preset is consumed here; an explicit --preset flag wins
+    presets = [file_map.pop("preset")] if "preset" in file_map else []
+    if args.preset is not None:
+        presets.append(args.preset)
+    for preset in presets:
+        if not isinstance(preset, str) or preset not in PRESETS:
             raise MalformedConfig(
                 f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
             )
-        _apply_mapping(cfg, PRESETS[preset], f"preset {preset!r}")
-    if config_path:
-        _apply_mapping(cfg, file_map, str(config_path))
+    if presets:
+        _apply_mapping(cfg, PRESETS[presets[-1]], f"preset {presets[-1]!r}")
+    _apply_mapping(cfg, file_map, str(args.config))
     for name in _FIELD_KINDS:
         value = getattr(args, name)
         if value is not None:
@@ -305,6 +301,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_reconstruct_graph(args) -> int:
+    if args.top_k is not None and args.format == "f64le":
+        raise MalformedConfig("--format f64le has no effect: --top-k writes a COO CSV")
     S = dataset_mod.read_matrix_csv(args.graph)
     if S.min() < 0:
         # learned consensus graphs can dip slightly negative after the
@@ -393,6 +391,10 @@ def _sweep_cell(cfg: RunConfig, build) -> dict:
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args, sweep=True)
+    text = os.environ.get("ANCHORCLUST_WORKERS", "1")
+    workers = int(text) if text.strip().isdecimal() else 0
+    if workers < 1:
+        raise MalformedConfig(f"ANCHORCLUST_WORKERS={text!r}: need an integer >= 1")
     builds = _shared_builds(cfg, args.m_grid)
     cells_dir = Path(cfg.output_dir) / "cells"
     jobs = [
@@ -404,7 +406,6 @@ def cmd_sweep(args) -> int:
         for beta in args.beta_grid
         for gamma in args.gamma_grid
     ]
-    workers = int(os.environ.get("ANCHORCLUST_WORKERS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker,
                                  initargs=(builds,)) as pool:
@@ -451,13 +452,20 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
                    "columns in view 0's anchor order")
 
 
-# a sweep grid: its distinct values in first-seen order
+# a sweep grid: its distinct values in first-seen order, at least one
+def _grid(kind, text: str) -> list:
+    values = list(dict.fromkeys(kind(t) for t in text.split(",") if t))
+    if not values:
+        raise argparse.ArgumentTypeError("empty grid")
+    return values
+
+
 def _int_list(text: str) -> list[int]:
-    return list(dict.fromkeys(int(t) for t in text.split(",") if t))
+    return _grid(int, text)
 
 
 def _float_list(text: str) -> list[float]:
-    return list(dict.fromkeys(float(t) for t in text.split(",") if t))
+    return _grid(float, text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -114,13 +114,13 @@ def remap_labels(raw: np.ndarray) -> np.ndarray:
     return rank[inverse]
 
 
-def _parse_csv_matrix(path: Path, dims: int) -> np.ndarray:
+def _parse_csv_matrix(path: Path, dims: int | None) -> np.ndarray:
     """Parse a view CSV with numpy's C reader, which gives the same bits
     as float() per token. A file it refuses, finds empty or reads at
     another width goes to the line reader, which accepts what float()
     accepts (underscores, whitespace-only lines) and raises the typed,
     line-numbered errors. A blank file skips loadtxt and its no-data
-    warning."""
+    warning. dims None takes the width of the first non-blank line."""
     with io_errors(f"reading {path}"):
         with open(path, "rb") as fh:
             blank = not any(line.strip() for line in fh)
@@ -131,7 +131,7 @@ def _parse_csv_matrix(path: Path, dims: int) -> np.ndarray:
             except ValueError:
                 pass
             else:
-                if X.shape[0] and X.shape[1] == dims:
+                if X.shape[0] and dims in (None, X.shape[1]):
                     return X
     return _parse_csv_lines(path, dims)
 
@@ -149,10 +149,12 @@ def _text_lines(path: Path):
         raise NonFiniteValue(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _parse_csv_lines(path: Path, dims: int) -> np.ndarray:
+def _parse_csv_lines(path: Path, dims: int | None) -> np.ndarray:
     rows = []
     for lineno, line in _text_lines(path):
         tokens = line.split(",")
+        if dims is None:
+            dims = len(tokens)
         if len(tokens) != dims:
             raise ShapeMismatch(
                 f"{path}: line {lineno} has {len(tokens)} columns, "
@@ -168,7 +170,7 @@ def _parse_csv_lines(path: Path, dims: int) -> np.ndarray:
                 ) from None
         rows.append(row)
     if not rows:
-        raise ShapeMismatch(f"{path}: empty view file")
+        raise ShapeMismatch(f"{path}: empty matrix file")
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -194,18 +196,27 @@ def _require(meta: dict, key: str, kind, where: str):
     return value
 
 
+def read_json(path: Path, malformed: type[Exception]) -> dict:
+    """The JSON object in a UTF-8 file. A missing file raises MissingFile
+    and a failed read IoError; text that is not UTF-8 JSON, or whose top
+    level is not an object, raises malformed."""
+    if not path.is_file():
+        raise MissingFile(f"{path}: no such file")
+    try:
+        with io_errors(f"reading {path}"), open(path, encoding="utf-8") as fh:
+            value = json.load(fh)
+    except ValueError as exc:
+        raise malformed(f"{path}: {exc}") from None
+    if not isinstance(value, dict):
+        raise malformed(f"{path}: top level must be an object")
+    return value
+
+
 def load_dataset(root_path) -> MultiViewDataset:
     """Load and validate a dataset directory (see module docstring for layout)."""
     root = Path(root_path)
     meta_path = root / "meta.json"
-    if not meta_path.is_file():
-        raise MissingFile(f"{meta_path}: no such file")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise MalformedMeta(f"{meta_path}: {exc}") from None
-    if not isinstance(meta, dict):
-        raise MalformedMeta(f"{meta_path}: top level must be an object")
+    meta = read_json(meta_path, MalformedMeta)
 
     n = _require(meta, "n", int, str(meta_path))
     entries = _require(meta, "views", list, str(meta_path))
@@ -316,10 +327,7 @@ def read_matrix_csv(path) -> np.ndarray:
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"{path}: no such file")
-    _, first = next(_text_lines(path), (0, ""))
-    if not first:
-        raise ShapeMismatch(f"{path}: empty matrix file")
-    return _parse_csv_matrix(path, dims=len(first.split(",")))
+    return _parse_csv_matrix(path, dims=None)
 
 
 def synth_blobs(

@@ -25,7 +25,7 @@ class DataError(AnchorClustError):
 
 
 class MissingFile(DataError):
-    """A file declared in dataset metadata does not exist."""
+    """An input file (meta.json, a file it declares, --config) does not exist."""
 
 
 class ShapeMismatch(DataError):
@@ -37,7 +37,7 @@ class NonFiniteValue(DataError):
 
 
 class MalformedMeta(DataError):
-    """meta.json is missing, unparseable, or violates the schema."""
+    """meta.json or anchor_key.json is unparseable or violates its schema."""
 
 
 class MalformedConfig(ConfigError):

@@ -123,7 +123,7 @@ class FactoredZ:
     (1 + gamma), S_a = sum_v a_v S_v, and P the m x m factor of the
     singular value thresholding of M at tau (tau = 0: P = I and Z = M).
 
-    Supports Z @ X and Z.T @ Y for thin dense blocks, which is all
+    Supports Z @ X and, by t_times, Z^T Y for thin dense blocks: all
     update_F and update_G ask of Z. It also carries the pieces that
     update_alpha and _objective need. They are written in terms of the
     SVT residual Z - M = M (P - I) and of D = F G^T - S_a, for which
@@ -198,10 +198,6 @@ class FactoredZ:
             out = (out + self.gamma * (self.F @ (self.G.T @ X))) / (1.0 + self.gamma)
         return out
 
-    @property
-    def T(self) -> "_FactoredZT":
-        return _FactoredZT(self)
-
     def t_times(self, Y: np.ndarray, SvtY: np.ndarray) -> np.ndarray:
         """Z^T Y, given the V products S_v^T Y as a V x m x c array."""
         MtY = np.tensordot(self.alpha, SvtY, axes=1)
@@ -221,16 +217,6 @@ class FactoredZ:
             return np.zeros_like(M)
         U = (M @ self.Vk) / self.sigma
         return (U * (self.sigma - self.tau)) @ self.Vk.T
-
-
-class _FactoredZT:
-    """Transpose of a FactoredZ, for Z.T @ Y."""
-
-    def __init__(self, Z: FactoredZ):
-        self.Z = Z
-
-    def __matmul__(self, Y: np.ndarray) -> np.ndarray:
-        return self.Z.t_times(Y, self.Z.graphs.each_t_times(Y))
 
 
 def init_state(graphs: AnchorGraphSet, config: SolverConfig) -> SolverState:
@@ -263,9 +249,10 @@ def update_F(Z, G: np.ndarray) -> np.ndarray:
 
 def update_G(Z, F: np.ndarray, SvtF: np.ndarray | None = None) -> np.ndarray:
     """Orthogonal Procrustes: maximize Tr(G^T W) with W = Z^T F. Z is a
-    dense array or a FactoredZ. Given a FactoredZ and an empty V x m x c
-    array SvtF, W is formed from the products S_v^T F written into SvtF,
-    which the Z step of the same cycle takes instead of forming them again."""
+    dense array, or a FactoredZ given together with an empty V x m x c
+    array SvtF: then W is formed from the products S_v^T F written into
+    SvtF, which the Z step of the same cycle takes instead of forming
+    them again."""
     if SvtF is None:
         W = Z.T @ F
     else:

@@ -162,6 +162,18 @@ class TestFitCommand:
         code = main(["fit", str(blob_dir), "--output", str(tmp_path / "o"),
                      "--preset", "nope"])
         assert code == 2
+        # a preset, from the flag or the file's key, must be a string naming
+        # one; a bad file key counts even when the flag names a good one
+        cfg = tmp_path / "cfg.json"
+        for preset, flag in [(["coil"], []), ({}, []), ("", []), (None, []), (3, []),
+                             ("nope", []), (["coil"], ["--preset", "coil"]),
+                             ("coil", ["--preset", ""])]:
+            cfg.write_text(json.dumps({"preset": preset}))
+            capsys.readouterr()
+            assert main(fit_args(blob_dir, tmp_path / "o") + ["--config", str(cfg)]
+                        + flag) == 2, (preset, flag)
+            assert "config error [MalformedConfig]: unknown preset" in (
+                capsys.readouterr().err)
 
     def test_config_file_with_unknown_key_exits_2(self, blob_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -408,10 +420,24 @@ class TestFitCommand:
     def test_unparseable_cache_key_exits_3(self, blob_dir, tmp_path, capsys):
         out = tmp_path / "run"
         main(fit_args(blob_dir, out) + ["--cache-graphs"])
-        (out / "graphs" / anchors_mod.ANCHOR_KEY_FILE).write_text("{not json")
+        key_path = out / "graphs" / anchors_mod.ANCHOR_KEY_FILE
+        key_path.write_text("{not json")
         capsys.readouterr()
         assert main(fit_args(blob_dir, out) + ["--cache-graphs"]) == 3
         assert "MalformedMeta" in capsys.readouterr().err
+        # a key that parses to no object is malformed too, not a miss
+        for key in ["[]", '"m10"', "null"]:
+            key_path.write_text(key)
+            assert main(fit_args(blob_dir, out) + ["--cache-graphs"]) == 3
+            assert (f"data error [MalformedMeta]: {key_path}: top level must be an "
+                    "object") in capsys.readouterr().err
+
+    def test_missing_config_file_exits_3(self, blob_dir, tmp_path, capsys):
+        cfg = tmp_path / "absent.json"
+        code = main(fit_args(blob_dir, tmp_path / "o") + ["--config", str(cfg)])
+        assert code == 3
+        assert f"data error [MissingFile]: {cfg}: no such file" in (
+            capsys.readouterr().err)
 
     def test_output_path_is_a_file_exits_3(self, blob_dir, tmp_path, capsys,
                                            monkeypatch):
@@ -557,7 +583,7 @@ class TestReadFailures:
     """An OSError while reading an input exits 3 as IoError naming the file."""
 
     @pytest.mark.parametrize("fmt, name", [("csv", "view0.csv"), ("f64le", "view1.f64"),
-                                           ("csv", "labels.txt")])
+                                           ("csv", "labels.txt"), ("csv", "meta.json")])
     def test_dataset_file(self, tmp_path, capsys, monkeypatch, fmt, name):
         root = tmp_path / "data"
         save_dataset(synth_blobs(60, 3, 2, [4, 5], seed=0), root, fmt=fmt)
@@ -575,12 +601,25 @@ class TestReadFailures:
             capsys.readouterr().err)
 
     def test_cached_anchor_file(self, blob_dir, tmp_path, capsys, monkeypatch):
+        # the key file and meta.json read first (test_config_and_key_file)
         out = tmp_path / "o"
         argv = fit_args(blob_dir, out) + ["--cache-graphs"]
         assert main(argv) == 0
-        fail_reads_under(monkeypatch, out / "graphs")
+        fail_reads_under(monkeypatch, out / "graphs" / "view0.f64")
         assert main(argv) == 3
         assert f"data error [IoError]: reading {out / 'graphs' / 'view0.f64'}" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name", ["cfg.json", "o/graphs/anchor_key.json"])
+    def test_config_and_key_file(self, blob_dir, tmp_path, capsys, monkeypatch, name):
+        (tmp_path / "cfg.json").write_text(json.dumps({"max_iters": 5}))
+        argv = fit_args(blob_dir, tmp_path / "o") + [
+            "--cache-graphs", "--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        fail_reads_under(monkeypatch, tmp_path / name)
+        assert main(argv) == 3
+        assert f"data error [IoError]: reading {tmp_path / name}: [Errno 5]" in (
             capsys.readouterr().err)
 
 
@@ -625,6 +664,23 @@ class TestReconstructCommand:
         out = tmp_path / "B.csv"
         assert main(["reconstruct-graph", str(tmp_path / "S.csv"), str(out)]) == 0
         assert np.loadtxt(out, delimiter=",").shape == (2, 2)
+
+    @pytest.mark.parametrize("text", ["", "\n \n"])
+    def test_blank_input_exits_3(self, tmp_path, capsys, text):
+        (tmp_path / "S.csv").write_text(text)
+        assert main(["reconstruct-graph", str(tmp_path / "S.csv"),
+                     str(tmp_path / "B.csv")]) == 3
+        assert f"data error [ShapeMismatch]: {tmp_path / 'S.csv'}: empty" in (
+            capsys.readouterr().err)
+
+    def test_top_k_with_binary_format_exits_2(self, tmp_path, capsys):
+        # refused before the graph is read: the graph file does not exist
+        out = tmp_path / "B.f64"
+        assert main(["reconstruct-graph", str(tmp_path / "absent.csv"), str(out),
+                     "--format", "f64le", "--top-k", "2"]) == 2
+        assert "config error [MalformedConfig]: --format f64le" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_top_k_coo_output(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -736,6 +792,31 @@ class TestSweepCommand:
         assert status[8] == "ok"
         assert status[500] == "failed"
         assert "InvalidParameter" in [r for r in rows if r["m"] == 500][0]["error"]
+
+    @pytest.mark.parametrize("workers", ["abc", "", "0", "-1", "1.5", "\u00b2"])
+    def test_bad_workers_exits_2_before_load(self, blob_dir, tmp_path, capsys,
+                                            monkeypatch, workers):
+        loads = []
+        monkeypatch.setattr(dataset_mod, "load_dataset",
+                            lambda root, *a, **kw: loads.append(root))
+        monkeypatch.setenv("ANCHORCLUST_WORKERS", workers)
+        assert main(["sweep", str(blob_dir), "--output", str(tmp_path / "o"),
+                     "--m-grid", "8", "--beta-grid", "0.2", "--gamma-grid", "0.1",
+                     "--c", "3"]) == 2
+        assert "config error [MalformedConfig]: ANCHORCLUST_WORKERS" in (
+            capsys.readouterr().err)
+        assert loads == []
+
+    @pytest.mark.parametrize("grid", ["--m-grid", "--beta-grid", "--gamma-grid"])
+    @pytest.mark.parametrize("text", ["", ",", ",,"])
+    def test_empty_grid_exits_2(self, blob_dir, tmp_path, capsys, grid, text):
+        grids = {"--m-grid": "8", "--beta-grid": "0.2", "--gamma-grid": "0.1", grid: text}
+        argv = ["sweep", str(blob_dir), "--output", str(tmp_path / "o"), "--c", "3"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"{flag}={value}" for flag, value in grids.items()])
+        assert exc.value.code == 2
+        assert f"argument {grid}: empty grid" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_grid_value_fails_its_own_cells(self, blob_dir, tmp_path):
         out = tmp_path / "sweep"
@@ -954,6 +1035,24 @@ class TestSweepCommand:
         assert all(read_results(out / "cells" / c)["graphs_cached"] for c in cells)
         assert first == {c: (out / "cells" / c / "labels.txt").read_bytes()
                          for c in cells}
+
+
+def test_only_errors_catches_oserror():
+    # an OSError becomes IoError in one place, errors.io_errors; a handler
+    # anywhere else would give a file failure its own error and exit status
+    package = Path(cli.__file__).parent
+    handlers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        handlers += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and any(isinstance(name, ast.Name) and name.id == "OSError"
+                    for name in ast.walk(node.type))
+        ]
+    assert handlers == []
 
 
 def test_only_cli_prints():

@@ -212,6 +212,8 @@ def select_anchors(
     """Run k-means independently per view; the centers are the anchors."""
     if not (1 <= m <= ds.n):
         raise InvalidParameter(f"need 1 <= m <= n, got m={m}, n={ds.n}")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     anchors, iters_used = [], 0
     for v, X in enumerate(ds.views):
@@ -309,15 +311,11 @@ def dataset_digest(ds: MultiViewDataset, normalize: bool) -> str:
 
 def save_anchor_set(anchor_set: AnchorSet, root_path, key: dict) -> None:
     """Cache anchors as an f64le dataset directory. The old key file goes
-    first and the new one last, so an interrupted save reads as a miss.
-    The graph CSVs and sidecar of an entry in the earlier format go too."""
-    root = Path(root_path)
-    key_path = root / ANCHOR_KEY_FILE
+    first and the new one last, so an interrupted save reads as a miss."""
+    key_path = Path(root_path) / ANCHOR_KEY_FILE
     entry = MultiViewDataset(views=anchor_set.anchors)
     with io_errors(f"writing anchor cache {key_path}"):
         key_path.unlink(missing_ok=True)
-        for old in [root / "anchor_graphs.json", *root.glob("graph*.csv")]:
-            old.unlink(missing_ok=True)
         dataset_mod.save_dataset(entry, root_path, fmt="f64le")
         key_path.write_text(json.dumps(key) + "\n", encoding="utf-8")
 

@@ -303,6 +303,8 @@ def cmd_evaluate(args) -> int:
 def cmd_reconstruct_graph(args) -> int:
     if args.top_k is not None and args.format == "f64le":
         raise MalformedConfig("--format f64le has no effect: --top-k writes a COO CSV")
+    if args.top_k is not None and args.top_k < 1:
+        raise InvalidParameter(f"--top-k must be >= 1, got {args.top_k}")
     S = dataset_mod.read_matrix_csv(args.graph)
     if S.min() < 0:
         # learned consensus graphs can dip slightly negative after the
@@ -446,7 +448,9 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, help="cycle cap")
     p.add_argument("--normalize", action="store_true", default=None,
                    help="z-score features per view")
-    p.add_argument("--cache-graphs", action="store_true", default=None)
+    p.add_argument("--cache-graphs", action="store_true", default=None,
+                   help="keep each view's anchors under <output>/graphs and "
+                   "reuse them when m, seed and the data match")
     p.add_argument("--save-graph", action="store_true", default=None,
                    help="also write the learned consensus graph, its "
                    "columns in view 0's anchor order")

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     InvalidParameter,
     MalformedMeta,
-    MissingFile,
     NonFiniteValue,
     ShapeMismatch,
     io_errors,
@@ -197,11 +196,9 @@ def _require(meta: dict, key: str, kind, where: str):
 
 
 def read_json(path: Path, malformed: type[Exception]) -> dict:
-    """The JSON object in a UTF-8 file. A missing file raises MissingFile
-    and a failed read IoError; text that is not UTF-8 JSON, or whose top
-    level is not an object, raises malformed."""
-    if not path.is_file():
-        raise MissingFile(f"{path}: no such file")
+    """The JSON object in a UTF-8 file. A failed open or read raises
+    MissingFile or IoError (errors.io_errors); text that is not UTF-8
+    JSON, or whose top level is not an object, raises malformed."""
     try:
         with io_errors(f"reading {path}"), open(path, encoding="utf-8") as fh:
             value = json.load(fh)
@@ -237,8 +234,6 @@ def load_dataset(root_path) -> MultiViewDataset:
                 f"{where}: format {fmt!r} not one of {VIEW_FORMATS}"
             )
         fpath = root / fname
-        if not fpath.is_file():
-            raise MissingFile(f"{fpath}: declared by views[{i}], no such file")
         if fmt == "csv":
             X = _parse_csv_matrix(fpath, dims)
         else:
@@ -253,10 +248,7 @@ def load_dataset(root_path) -> MultiViewDataset:
     labels = None
     if "labels" in meta:
         lname = _require(meta, "labels", str, str(meta_path))
-        lpath = root / lname
-        if not lpath.is_file():
-            raise MissingFile(f"{lpath}: declared as labels file, no such file")
-        labels = load_labels_file(lpath, expected_n=n)
+        labels = load_labels_file(root / lname, expected_n=n)
 
     return MultiViewDataset(views=views, labels=labels, view_names=names)
 
@@ -264,8 +256,6 @@ def load_dataset(root_path) -> MultiViewDataset:
 def load_labels_file(path, expected_n: int | None = None) -> np.ndarray:
     """Read one integer per line and remap to contiguous 0-based labels."""
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"{path}: no such file")
     raw = []
     for lineno, line in _text_lines(path):
         try:
@@ -324,10 +314,7 @@ def write_matrix_csv(X: np.ndarray, path) -> None:
 def read_matrix_csv(path) -> np.ndarray:
     """Read a header-less CSV matrix, inferring the column count from its
     first non-blank line."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"{path}: no such file")
-    return _parse_csv_matrix(path, dims=None)
+    return _parse_csv_matrix(Path(path), dims=None)
 
 
 def synth_blobs(

@@ -2,7 +2,7 @@
 
 Every error sits under exactly one of three categories, ConfigError,
 DataError and NumericalBreakdown, whose exit_status is the command-line
-exit status. io_errors turns an OSError of a file read or write into IoError.
+exit status. io_errors turns each OSError into MissingFile or IoError.
 """
 
 from contextlib import contextmanager
@@ -25,7 +25,7 @@ class DataError(AnchorClustError):
 
 
 class MissingFile(DataError):
-    """An input file (meta.json, a file it declares, --config) does not exist."""
+    """A file to read, or the directory of one to write, does not exist."""
 
 
 class ShapeMismatch(DataError):
@@ -68,9 +68,12 @@ class NumericalBreakdown(AnchorClustError):
 
 @contextmanager
 def io_errors(what: str):
-    """Raise an OSError inside the block as IoError("<what>: <error>")."""
+    """Raise an OSError inside the block as MissingFile("<what>: <error>")
+    if it is a FileNotFoundError, else as IoError("<what>: <error>")."""
     try:
         yield
+    except FileNotFoundError as exc:
+        raise MissingFile(f"{what}: {exc}") from None
     except OSError as exc:
         raise IoError(f"{what}: {exc}") from None
 

@@ -78,6 +78,8 @@ class SolverConfig:
             raise InvalidParameter(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0 < self.rel_tol < np.inf:
             raise InvalidParameter(f"need 0 < rel_tol < inf, got {self.rel_tol}")
+        if self.seed < 0:
+            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
 
 
 class SolverState:

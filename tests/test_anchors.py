@@ -195,6 +195,11 @@ class TestSelectAnchors:
         with pytest.raises(InvalidParameter):
             select_anchors(ds, m=4)
 
+    def test_negative_seed_rejected(self):
+        ds = MultiViewDataset(views=[np.ones((3, 2))])
+        with pytest.raises(InvalidParameter, match="seed must be >= 0, got -1"):
+            select_anchors(ds, m=2, seed=-1)
+
     def test_few_distinct_rows_warns(self):
         X = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0]]), 4, axis=0)
         ds = MultiViewDataset(views=[X])

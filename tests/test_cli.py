@@ -91,7 +91,8 @@ SETTING_VALUES = {
 
 # bad in every sweep cell too: flags, or a config file's key
 SHARED_BAD_SETTINGS = ["--c=0", "--k=0", "--max-iters=0", "--rel-tol=0",
-                       "--rel-tol=nan", "--rel-tol=inf", "config:max_iters=0"]
+                       "--rel-tol=nan", "--rel-tol=inf", "config:max_iters=0",
+                       "--seed=-5", "config:seed=-1"]
 
 
 def fit_args(dataset, output, **over):
@@ -411,9 +412,6 @@ class TestFitCommand:
         assert read_results(out)["graphs_cached"] is False
         for fname in ("labels.txt", "convergence.csv"):
             assert (out / fname).read_bytes() == (fresh / fname).read_bytes()
-        # the rebuild in place leaves none of the old entry's files
-        assert not (entry / "anchor_graphs.json").exists()
-        assert list(entry.glob("graph*.csv")) == []
         main(fit_args(blob_dir, out) + ["--cache-graphs"])
         assert read_results(out)["graphs_cached"] is True
 
@@ -436,8 +434,9 @@ class TestFitCommand:
         cfg = tmp_path / "absent.json"
         code = main(fit_args(blob_dir, tmp_path / "o") + ["--config", str(cfg)])
         assert code == 3
-        assert f"data error [MissingFile]: {cfg}: no such file" in (
-            capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            f"data error [MissingFile]: reading {cfg}: [Errno 2] No such file or "
+            f"directory: '{cfg}'\n")
 
     def test_output_path_is_a_file_exits_3(self, blob_dir, tmp_path, capsys,
                                            monkeypatch):
@@ -580,7 +579,8 @@ def fail_reads_under(monkeypatch, target: Path) -> None:
 
 
 class TestReadFailures:
-    """An OSError while reading an input exits 3 as IoError naming the file."""
+    """An OSError while reading an input exits 3 as IoError naming the file,
+    or as MissingFile if the file is not there."""
 
     @pytest.mark.parametrize("fmt, name", [("csv", "view0.csv"), ("f64le", "view1.f64"),
                                            ("csv", "labels.txt"), ("csv", "meta.json")])
@@ -609,6 +609,29 @@ class TestReadFailures:
         assert main(argv) == 3
         assert f"data error [IoError]: reading {out / 'graphs' / 'view0.f64'}" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("state, message", [
+        ("missing", "[MissingFile]: reading {}: [Errno 2]"),
+        ("a directory", "[IoError]: reading {}: [Errno 21]")], ids=["missing", "dir"])
+    @pytest.mark.parametrize("name", ["meta.json", "view0.csv", "view1.f64", "labels.txt",
+                                      "--config", "reconstruct-graph", "evaluate"])
+    def test_input_missing_or_a_directory(self, tmp_path, capsys, name, state,
+                                          message):
+        # the open itself decides: no existence check runs before it
+        root = tmp_path / "data"
+        fmt = "f64le" if name == "view1.f64" else "csv"
+        save_dataset(synth_blobs(60, 3, 2, [4, 5], seed=0), root, fmt=fmt)
+        target = tmp_path / "input"
+        argv = {"--config": fit_args(root, tmp_path / "o") + ["--config", str(target)],
+                "reconstruct-graph": [name, str(target), str(tmp_path / "B.csv")],
+                "evaluate": [name, str(target), str(root / "labels.txt")]}.get(name)
+        if argv is None:
+            target, argv = root / name, fit_args(root, tmp_path / "o")
+        target.unlink(missing_ok=True)
+        if state == "a directory":
+            target.mkdir()
+        assert main(argv) == 3
+        assert f"data error {message.format(target)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["cfg.json", "o/graphs/anchor_key.json"])
     def test_config_and_key_file(self, blob_dir, tmp_path, capsys, monkeypatch, name):
@@ -680,6 +703,16 @@ class TestReconstructCommand:
                      "--format", "f64le", "--top-k", "2"]) == 2
         assert "config error [MalformedConfig]: --format f64le" in (
             capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_top_k_below_1_exits_2_before_read(self, tmp_path, capsys):
+        # the graph has a negative entry, whose clamping note would show a read
+        write_matrix_csv(np.array([[0.5, 0.5], [1.5, -0.5]]), tmp_path / "S.csv")
+        out = tmp_path / "B.csv"
+        assert main(["reconstruct-graph", str(tmp_path / "S.csv"), str(out),
+                     "--top-k", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "config error [InvalidParameter]: --top-k must be >= 1, got 0\n")
         assert not out.exists()
 
     def test_top_k_coo_output(self, tmp_path):

@@ -432,6 +432,7 @@ class TestSolverConfig:
             dict(c=2, gamma=-0.1),
             dict(c=2, max_iters=0),
             dict(c=2, rel_tol=0.0),
+            dict(c=2, seed=-1),
         ],
     )
     def test_validation(self, kwargs):

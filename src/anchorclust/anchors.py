@@ -17,8 +17,8 @@ j of another are unrelated centres. build_all therefore permutes the
 graph columns of each view v >= 1 to best match view 0's: graph column j
 of view v is anchor row perm_v[j] of that view's AnchorSet, where perm_v
 maximizes tr(S_0^T S_v[:, perm_v]) (Wang et al., "Align then Fusion",
-NeurIPS 2022). View 0 keeps its order, so the consensus graph's columns
-follow view 0's anchors.
+NeurIPS 2022), found by the assignment module's solver. View 0 keeps its
+order, so the consensus graph's columns follow view 0's anchors.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment
 
 from . import dataset as dataset_mod
+from .assignment import min_cost_assignment
 from .dataset import MultiViewDataset
 from .errors import (
     DegenerateRowWarning,
@@ -230,6 +230,24 @@ def select_anchors(
     return AnchorSet(anchors=anchors, m=m, kmeans_iters_used=iters_used)
 
 
+def _nearest(d2: np.ndarray, q: int):
+    """Column indices and values of the q smallest entries of each row of
+    d2, in stable-argsort order: by value, then by index. argpartition
+    picks q candidates per row; a row with more than q entries at or below
+    its q-th smallest value has ties that decide which columns are kept,
+    so that row alone is sorted whole."""
+    order = np.argpartition(d2, q - 1, axis=1)[:, :q]
+    order.sort(axis=1)
+    phi = np.take_along_axis(d2, order, axis=1)
+    by_value = np.argsort(phi, axis=1, kind="stable")
+    order = np.take_along_axis(order, by_value, axis=1)
+    phi = np.take_along_axis(phi, by_value, axis=1)
+    for row in np.flatnonzero(np.count_nonzero(d2 <= phi[:, -1:], axis=1) > q):
+        order[row] = np.argsort(d2[row], kind="stable")[:q]
+        phi[row] = d2[row, order[row]]
+    return order, phi
+
+
 def build_anchor_graph(X: np.ndarray, anchors: np.ndarray, k: int) -> sp.csr_array:
     """Normalized k-NN anchor graph of one view (see module docstring), as
     CSR with sorted column indices and no stored zeros."""
@@ -245,10 +263,7 @@ def build_anchor_graph(X: np.ndarray, anchors: np.ndarray, k: int) -> sp.csr_arr
             f"need 1 <= k <= m-1 (the k+1 nearest anchor sets the "
             f"bandwidth), got k={k}, m={m}"
         )
-    d2 = _sq_dists(X, anchors)
-    order = np.argsort(d2, axis=1, kind="stable")
-    phi = np.take_along_axis(d2, order, axis=1)
-
+    order, phi = _nearest(_sq_dists(X, anchors), k + 1)
     phi_kp1 = phi[:, k]
     top = phi[:, :k]
     den = k * phi_kp1 - top.sum(axis=1)
@@ -273,9 +288,9 @@ def build_anchor_graph(X: np.ndarray, anchors: np.ndarray, k: int) -> sp.csr_arr
 
 def column_alignment(S0: sp.csr_array, S: sp.csr_array) -> np.ndarray:
     """The column permutation perm of S that best matches S0: it maximizes
-    tr(S0^T S[:, perm]) = sum_j <S0[:, j], S[:, perm[j]]>, solved by the
-    Hungarian method on the m x m cross-Gram S0^T S (O(n k^2) to form)."""
-    return linear_sum_assignment((S0.T @ S).toarray(), maximize=True)[1]
+    tr(S0^T S[:, perm]) = sum_j <S0[:, j], S[:, perm[j]]>: the minimum-cost
+    assignment on the negated m x m cross-Gram S0^T S (O(n k^2) to form)."""
+    return min_cost_assignment(-(S0.T @ S).toarray())
 
 
 def build_all(ds: MultiViewDataset, anchor_set: AnchorSet, k: int) -> AnchorGraphSet:

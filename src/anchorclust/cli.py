@@ -176,7 +176,8 @@ def resolve_config(args: argparse.Namespace, sweep: bool = False) -> RunConfig:
 
 
 def _resolve_solver_params(cfg: RunConfig, ds) -> tuple[int, int, int]:
-    """Fill c from labels when absent, default m to c+20, clamp k to m-1."""
+    """Fill c from labels when absent, default m to c+20, clamp k to m-1;
+    refuse a c or an m above n."""
     c = cfg.c
     if c is None:
         if ds.labels is None:
@@ -184,6 +185,8 @@ def _resolve_solver_params(cfg: RunConfig, ds) -> tuple[int, int, int]:
                 "cluster count not set and the dataset has no labels; pass --c"
             )
         c = ds.num_classes
+    if c > ds.n:
+        raise InvalidParameter(f"need c <= n, got c={c}, n={ds.n}")
     m = cfg.m if cfg.m is not None else min(c + 20, ds.n)
     if m < 2 or m > ds.n:
         raise InvalidParameter(f"need 2 <= m <= n, got m={m}, n={ds.n}")

@@ -8,8 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .assignment import min_cost_assignment
 from .errors import LengthMismatch
 
 
@@ -42,8 +42,8 @@ def _accuracy(ct: ContingencyTable) -> float:
     side = max(ct.counts.shape)
     padded = np.zeros((side, side), dtype=np.int64)
     padded[: ct.counts.shape[0], : ct.counts.shape[1]] = ct.counts
-    rows, cols = linear_sum_assignment(-padded)
-    return int(padded[rows, cols].sum()) / ct.n
+    cols = min_cost_assignment(-padded)
+    return int(padded[np.arange(side), cols].sum()) / ct.n
 
 
 def _nmi(ct: ContingencyTable) -> float:
@@ -92,8 +92,9 @@ def _f_precision(tp: int, pred_pairs: int, true_pairs: int, _) -> tuple[float, f
 
 
 def accuracy(pred, truth) -> float:
-    """Best cluster-to-class matching rate, via optimal assignment on a
-    square zero-padded contingency table."""
+    """Best cluster-to-class matching rate, via the minimum-cost assignment
+    (assignment.min_cost_assignment) on the negated, zero-padded square
+    contingency table."""
     return _accuracy(contingency(pred, truth))
 
 

@@ -527,6 +527,18 @@ class TestFitCommand:
         assert "config error [InvalidParameter]" in capsys.readouterr().err
         assert loads == []
 
+    @pytest.mark.parametrize("setting, message", [
+        ("--c=61", "need c <= n, got c=61, n=60"),
+        ("--m=61", "need 2 <= m <= n, got m=61, n=60"),
+    ])
+    def test_setting_above_n_exits_2_after_load(self, blob_dir, tmp_path, capsys,
+                                                setting, message):
+        # n is known only once the 60-sample dataset is read
+        out = tmp_path / "o"
+        assert main(fit_args(blob_dir, out) + [setting]) == 2
+        assert capsys.readouterr().err == f"config error [InvalidParameter]: {message}\n"
+        assert not (out / "labels.txt").exists()
+
 
 class TestEvaluateCommand:
     def test_prints_six_metrics(self, tmp_path, capsys):
@@ -825,6 +837,16 @@ class TestSweepCommand:
         assert status[8] == "ok"
         assert status[500] == "failed"
         assert "InvalidParameter" in [r for r in rows if r["m"] == 500][0]["error"]
+
+    def test_c_above_n_fails_every_cell(self, blob_dir, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(blob_dir), "--output", str(out),
+                     "--m-grid", "8,10", "--beta-grid", "0.2",
+                     "--gamma-grid", "0.1", "--c", "61", "--max-iters", "5"]) == 0
+        rows = read_sweep_report(out / "sweep.csv")
+        assert [(r["m"], r["status"], r["error"]) for r in rows] == [
+            (m, "failed", "InvalidParameter: need c <= n, got c=61, n=60")
+            for m in (8, 10)]
 
     @pytest.mark.parametrize("workers", ["abc", "", "0", "-1", "1.5", "\u00b2"])
     def test_bad_workers_exits_2_before_load(self, blob_dir, tmp_path, capsys,

@@ -35,11 +35,6 @@ from .solver import (
     SolverState,
     fit,
     labels_from_F,
-    objective,
-    update_F,
-    update_G,
-    update_Z,
-    update_alpha,
 )
 
 __version__ = "0.1.0"
@@ -61,7 +56,6 @@ __all__ = [
     "labels_from_F",
     "load_dataset",
     "nmi",
-    "objective",
     "pairwise_f_precision",
     "purity",
     "reconstruct_full_graph",
@@ -69,9 +63,5 @@ __all__ = [
     "save_dataset",
     "select_anchors",
     "synth_blobs",
-    "update_F",
-    "update_G",
-    "update_Z",
-    "update_alpha",
     "zscore",
 ]

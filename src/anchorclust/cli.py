@@ -171,13 +171,15 @@ def resolve_config(args: argparse.Namespace, sweep: bool = False) -> RunConfig:
         raise MalformedConfig("no output directory given")
     if cfg.m is not None and cfg.m < 2 or cfg.k < 1:
         raise InvalidParameter(f"need m >= 2 and k >= 1, got m={cfg.m}, k={cfg.k}")
+    if None not in (cfg.c, cfg.m) and cfg.c > cfg.m:
+        raise InvalidParameter(f"need c <= m, got c={cfg.c}, m={cfg.m}")
     _solver_config(cfg, 1 if cfg.c is None else cfg.c)  # checks the rest
     return cfg
 
 
 def _resolve_solver_params(cfg: RunConfig, ds) -> tuple[int, int, int]:
     """Fill c from labels when absent, default m to c+20, clamp k to m-1;
-    refuse a c or an m above n."""
+    refuse a c or an m above n, and a c above m."""
     c = cfg.c
     if c is None:
         if ds.labels is None:
@@ -190,6 +192,8 @@ def _resolve_solver_params(cfg: RunConfig, ds) -> tuple[int, int, int]:
     m = cfg.m if cfg.m is not None else min(c + 20, ds.n)
     if m < 2 or m > ds.n:
         raise InvalidParameter(f"need 2 <= m <= n, got m={m}, n={ds.n}")
+    if c > m:
+        raise InvalidParameter(f"need c <= m, got c={c}, m={m}")
     return c, m, min(cfg.k, m - 1)
 
 

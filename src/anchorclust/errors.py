@@ -87,7 +87,8 @@ class DegenerateRowWarning(UserWarning):
 
 
 class RankDeficientWarning(UserWarning):
-    """The basis subproblem is rank deficient; the solution is non-unique."""
+    """The basis step has no unique solution: Z^T F is rank deficient and
+    even the completion nearest the previous basis is not unique."""
 
 
 class QpNotConvergedWarning(UserWarning):

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 from .errors import AllZeroGraph, InvalidParameter, NonFiniteValue
 
 DENSE_N_CAP = 20000
+TOP_K_BLOCK_ROWS = 2048  # rows of B formed at a time by reconstruct_top_k
 
 
 @dataclass(frozen=True)
@@ -50,21 +51,21 @@ def _drop_zero_columns(S: np.ndarray):
     return D, Sk, Sk / D[keep]
 
 
-def reconstruct_full_graph(S: np.ndarray, dense_cap: int = DENSE_N_CAP) -> FullGraph:
+def reconstruct_full_graph(S: np.ndarray) -> FullGraph:
     """Dense B = S D^-1 S^T. Zero anchor columns carry no mass and are
     dropped with a warning; n is capped because B is O(n^2) by nature."""
     S = _check_graph(S)
     n = S.shape[0]
-    if n > dense_cap:
+    if n > DENSE_N_CAP:
         raise InvalidParameter(
-            f"n={n} exceeds the dense cap {dense_cap}; use the top-k "
+            f"n={n} exceeds the dense cap {DENSE_N_CAP}; use the top-k "
             "sparsified reconstruction instead"
         )
     D, Sk, SD = _drop_zero_columns(S)
     return FullGraph(B=SD @ Sk.T, D=D)
 
 
-def reconstruct_top_k(S: np.ndarray, top_k: int, block_size: int = 2048) -> sp.csr_matrix:
+def reconstruct_top_k(S: np.ndarray, top_k: int) -> sp.csr_matrix:
     """Sparse reconstruction keeping the top_k largest entries per row of B,
     computed blockwise so the dense n x n matrix never materializes. Zero
     anchor columns are dropped with a warning."""
@@ -76,8 +77,8 @@ def reconstruct_top_k(S: np.ndarray, top_k: int, block_size: int = 2048) -> sp.c
     top_k = min(top_k, n)
 
     rows, cols, vals = [], [], []
-    for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
+    for start in range(0, n, TOP_K_BLOCK_ROWS):
+        stop = min(start + TOP_K_BLOCK_ROWS, n)
         block = SD[start:stop] @ Sk.T
         idx = np.argpartition(block, -top_k, axis=1)[:, -top_k:]
         sel = np.take_along_axis(block, idx, axis=1)

@@ -12,7 +12,7 @@ subproblem, so the objective never rises; a single view skips the alpha
 step and keeps alpha = [1.0].
 
     F      max(Z G, 0)                          (separable clamp)
-    G      U V^T from the SVD of Z^T F          (orthogonal Procrustes)
+    G      the maximizer of Tr(G^T Z^T F) nearest the last G   (Procrustes)
     Z      soft-threshold the singular values of
            M = (sum_v alpha_v S_v + gamma F G^T) / (1 + gamma)
            at tau = beta / (2 (1 + gamma))      (nuclear-norm prox)
@@ -33,7 +33,7 @@ C_uv = S_u^T S_v, which the AnchorGraphSet computes once when built:
     ||Z||_*              sum (sigma - tau)
     fit, factor terms    the norms expanded around M, with
                          ||Z - M||^2 = sum min(sigma, tau)^2 and
-                         ||F G^T||^2 = tr(F^T F G^T G), exact also for c > m
+                         ||F G^T||^2 = tr(F^T F G^T G)
 
 so a cycle costs O(n k V c + n c^2 + V^2 m^2 + V m^2 c + m^3), linear in
 n, and holds no n x m array. A cycle forms two sparse products: Z G in
@@ -222,23 +222,15 @@ class FactoredZ:
 
 
 def init_state(graphs: AnchorGraphSet, config: SolverConfig) -> SolverState:
-    """Even view weights, Z as their mixture, random F >= 0, random orthonormal G."""
+    """Even view weights, Z as their mixture, random F >= 0, random
+    orthonormal G, which needs c <= m (else InvalidParameter)."""
     V, n, m = graphs.num_views, graphs.n, graphs.m
     if config.c > m:
-        warnings.warn(
-            f"c={config.c} exceeds the anchor count m={m}; the basis cannot "
-            "have orthonormal columns and results will be unreliable",
-            stacklevel=2,
-        )
+        raise InvalidParameter(f"need c <= m, got c={config.c}, m={m}")
     alpha = np.full(V, 1.0 / V)
     rng = np.random.default_rng(config.seed)
     F = np.abs(rng.standard_normal((n, config.c)))
-    Q, _ = np.linalg.qr(rng.standard_normal((m, min(config.c, m))))
-    if config.c > m:
-        G = np.zeros((m, config.c))
-        G[:, :m] = Q
-    else:
-        G = Q
+    G, _ = np.linalg.qr(rng.standard_normal((m, config.c)))
     Z = FactoredZ(graphs, alpha, F, G, gamma=0.0, tau=0.0)
     return SolverState(Z=Z, F=F, G=G, alpha=alpha)
 
@@ -249,26 +241,36 @@ def update_F(Z, G: np.ndarray) -> np.ndarray:
     return np.maximum(Z @ G, 0.0)
 
 
-def update_G(Z, F: np.ndarray, SvtF: np.ndarray | None = None) -> np.ndarray:
+def update_G(Z, F: np.ndarray, G_prev: np.ndarray,
+             SvtF: np.ndarray | None = None) -> np.ndarray:
     """Orthogonal Procrustes: maximize Tr(G^T W) with W = Z^T F. Z is a
     dense array, or a FactoredZ given together with an empty V x m x c
     array SvtF: then W is formed from the products S_v^T F written into
     SvtF, which the Z step of the same cycle takes instead of forming
-    them again."""
+    them again.
+
+    For W = U diag(s) V^T with r singular values >= 1e-12, the maximizers
+    are U_r V_r^T + Q V_n^T, Q orthonormal and orthogonal to U_r. The one
+    nearest G_prev, Q = polar((I - U_r U_r^T) G_prev V_n), makes the step
+    unique (Schoenemann, Psychometrika 31(1), 1966); at r = c it is U V^T."""
     if SvtF is None:
         W = Z.T @ F
     else:
         SvtF[...] = Z.graphs.each_t_times(F)
         W = Z.t_times(F, SvtF)
     U, s, Vt = np.linalg.svd(W, full_matrices=False)
-    if s.size and s[-1] < 1e-12:
-        warnings.warn(
-            "Z^T F is rank deficient; the basis update is non-unique "
-            "(fixed by the SVD convention)",
-            RankDeficientWarning,
-            stacklevel=2,
-        )
-    return U @ Vt
+    r = int(np.count_nonzero(s >= 1e-12))
+    if r == s.size:
+        return U @ Vt
+    Ur, Vnt = U[:, :r], Vt[r:]
+    # Uc spans the complement of U_r; any such basis gives the same G
+    Uc = np.linalg.eigh(np.eye(W.shape[0]) - Ur @ Ur.T)[1][:, r:]
+    P, t, Qt = np.linalg.svd(Uc.T @ (G_prev @ Vnt.T), full_matrices=False)
+    if t[-1] < 1e-12:
+        warnings.warn("Z^T F is rank deficient and the completion nearest G_prev "
+                      "is not unique; the SVD convention fixes it",
+                      RankDeficientWarning, stacklevel=2)
+    return Ur @ Vt[:r] + (Uc @ (P @ Qt)) @ Vnt
 
 
 def update_Z(graphs: AnchorGraphSet, alpha: np.ndarray, F: np.ndarray, G: np.ndarray,
@@ -402,7 +404,7 @@ def fit(graphs: AnchorGraphSet, config: SolverConfig) -> ClusteringResult:
         try:
             state.F = update_F(Z, state.G)
             SvtF = np.empty((graphs.num_views, graphs.m, config.c))
-            state.G = update_G(Z, state.F, SvtF)
+            state.G = update_G(Z, state.F, state.G, SvtF)
             Z = update_Z(graphs, state.alpha, state.F, state.G, beta, gamma, SvtF)
             state.Z = Z
             if graphs.num_views > 1:

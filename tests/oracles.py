@@ -265,15 +265,13 @@ def dense_reference_fit(graphs, config):
     alpha = np.full(V, 1.0 / V)
     rng = np.random.default_rng(config.seed)
     F = np.abs(rng.standard_normal((n, c)))
-    basis, _ = np.linalg.qr(rng.standard_normal((m, min(c, m))))
-    G = np.zeros((m, c))
-    G[:, : basis.shape[1]] = basis
+    G, _ = np.linalg.qr(rng.standard_normal((m, c)))
     Z = sum(a * S for a, S in zip(alpha, S_list))
     state = SolverState(Z=Z, F=F, G=G, alpha=alpha)
     history = [objective(state, graphs, config)]
     for _ in range(config.max_iters):
         state.F = update_F(state.Z, state.G)
-        state.G = update_G(state.Z, state.F)
+        state.G = update_G(state.Z, state.F, state.G)
         state.Z = dense_update_Z(S_list, state.alpha, state.F, state.G,
                                  config.beta, config.gamma)
         if V > 1:

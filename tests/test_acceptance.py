@@ -92,7 +92,7 @@ def test_block_update_oracles():
     for trial in range(50):
         Z = rng.standard_normal((9, 5))
         F = np.abs(rng.standard_normal((9, 3)))
-        G = update_G(Z, F)
+        G = update_G(Z, F, random_orthonormal(5, 3, seed=trial))
         W = Z.T @ F
         gap = abs(np.trace(G.T @ W) - np.linalg.svd(W, compute_uv=False).sum())
         assert gap < 1e-8

@@ -100,7 +100,8 @@ def fit_args(dataset, output, **over):
     defaults = dict(c=3, m=10, k=3, seed=0, beta=0.2, gamma=0.1)
     defaults.update(over)
     for key, value in defaults.items():
-        args += [f"--{key.replace('_', '-')}", str(value)]
+        if value is not None:
+            args += [f"--{key.replace('_', '-')}", str(value)]
     return args
 
 
@@ -533,10 +534,51 @@ class TestFitCommand:
     ])
     def test_setting_above_n_exits_2_after_load(self, blob_dir, tmp_path, capsys,
                                                 setting, message):
-        # n is known only once the 60-sample dataset is read
+        # n is known only once the 60-sample dataset is read; m is left
+        # unset, as a c above a given m is refused before the load
         out = tmp_path / "o"
-        assert main(fit_args(blob_dir, out) + [setting]) == 2
+        assert main(fit_args(blob_dir, out, m=None) + [setting]) == 2
         assert capsys.readouterr().err == f"config error [InvalidParameter]: {message}\n"
+        assert not (out / "labels.txt").exists()
+
+
+    @pytest.mark.parametrize("source", ["flags", "config file", "preset"])
+    def test_c_above_m_exits_2_before_load(self, blob_dir, tmp_path, capsys,
+                                           monkeypatch, source):
+        # G needs c orthonormal columns in R^m; preset reuters has m = 15
+        loads = []
+        monkeypatch.setattr(dataset_mod, "load_dataset",
+                            lambda root, *a, **kw: loads.append(root))
+        argv = ["fit", str(blob_dir), "--output", str(tmp_path / "o"), "--c", "16"]
+        if source == "flags":
+            argv += ["--m", "15"]
+        elif source == "config file":
+            (tmp_path / "cfg.json").write_text(json.dumps({"m": 15}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        else:
+            argv += ["--preset", "reuters"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error [InvalidParameter]: need c <= m, got c=16, m=15\n")
+        assert loads == []
+
+    def test_c_from_labels_above_m_exits_2_after_load(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # c = 4 is known only once the labels are read
+        root, out = tmp_path / "blobs4", tmp_path / "o"
+        save_dataset(synth_blobs(60, 4, 2, [4, 5], seed=0), root)
+        loads = []
+        load = dataset_mod.load_dataset
+
+        def counting_load(root, *args, **kwargs):
+            loads.append(root)
+            return load(root, *args, **kwargs)
+
+        monkeypatch.setattr(dataset_mod, "load_dataset", counting_load)
+        assert main(["fit", str(root), "--output", str(out), "--m", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "config error [InvalidParameter]: need c <= m, got c=4, m=3\n")
+        assert loads == [str(root)]
         assert not (out / "labels.txt").exists()
 
 
@@ -847,6 +889,18 @@ class TestSweepCommand:
         assert [(r["m"], r["status"], r["error"]) for r in rows] == [
             (m, "failed", "InvalidParameter: need c <= n, got c=61, n=60")
             for m in (8, 10)]
+
+    def test_c_above_m_fails_that_m_cells(self, blob_dir, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(blob_dir), "--output", str(out),
+                     "--m-grid", "6,20", "--beta-grid", "0.2,0.5",
+                     "--gamma-grid", "0.1", "--c", "8", "--max-iters", "5"]) == 0
+        rows = read_sweep_report(out / "sweep.csv")
+        assert [(r["m"], r["status"], r["error"]) for r in rows] == [
+            (6, "failed", "InvalidParameter: need c <= m, got c=8, m=6"),
+            (6, "failed", "InvalidParameter: need c <= m, got c=8, m=6"),
+            (20, "ok", ""), (20, "ok", "")]
+        assert all(r["iterations"] >= 1 for r in rows[2:])
 
     @pytest.mark.parametrize("workers", ["abc", "", "0", "-1", "1.5", "\u00b2"])
     def test_bad_workers_exits_2_before_load(self, blob_dir, tmp_path, capsys,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import naive_reconstruction
 
+from anchorclust import graph_tools
 from anchorclust.errors import AllZeroGraph, InvalidParameter
 from anchorclust.graph_tools import (
     reconstruct_full_graph,
@@ -17,7 +18,7 @@ def random_stochastic(n, m, seed):
     return S / S.sum(axis=1, keepdims=True)
 
 
-def test_one_hot_rows_give_uniform_blocks():
+def test_one_hot_rows_give_uniform_blocks(monkeypatch):
     # hard assignment: group {0,1} on anchor 0, group {2,3,4} on anchor 2
     S = np.zeros((5, 3))
     S[[0, 1], 0] = 1.0
@@ -29,8 +30,9 @@ def test_one_hot_rows_give_uniform_blocks():
     expected[2:, 2:] = 1.0 / 3.0
     assert np.allclose(full.B, expected, atol=1e-15)
     assert np.array_equal(full.D, [2.0, 0.0, 3.0])
+    monkeypatch.setattr(graph_tools, "TOP_K_BLOCK_ROWS", 2)
     with pytest.warns(UserWarning, match="dropped 1 all-zero anchor column"):
-        top = reconstruct_top_k(S, top_k=5, block_size=2)
+        top = reconstruct_top_k(S, top_k=5)
     assert np.allclose(top.toarray(), expected, atol=1e-15)
 
 
@@ -64,16 +66,18 @@ def test_negative_entries_rejected():
         reconstruct_full_graph(S)
 
 
-def test_dense_cap_enforced():
+def test_dense_cap_enforced(monkeypatch):
+    monkeypatch.setattr(graph_tools, "DENSE_N_CAP", 20)
     S = random_stochastic(30, 3, seed=0)
-    with pytest.raises(InvalidParameter, match="dense cap"):
-        reconstruct_full_graph(S, dense_cap=20)
+    with pytest.raises(InvalidParameter, match="dense cap 20"):
+        reconstruct_full_graph(S)
 
 
-def test_top_k_matches_dense():
+def test_top_k_matches_dense(monkeypatch):
+    monkeypatch.setattr(graph_tools, "TOP_K_BLOCK_ROWS", 5)
     S = random_stochastic(12, 4, seed=1)
     dense = reconstruct_full_graph(S).B
-    sparse = reconstruct_top_k(S, top_k=3, block_size=5).toarray()
+    sparse = reconstruct_top_k(S, top_k=3).toarray()
     for i in range(12):
         top = np.sort(np.argsort(dense[i])[-3:])
         nz = np.nonzero(sparse[i])[0]

@@ -22,7 +22,7 @@ from oracles import (
 from anchorclust import solver
 from anchorclust.anchors import AnchorGraphSet, build_all, select_anchors
 from anchorclust.dataset import synth_blobs
-from anchorclust.errors import InvalidParameter, NumericalBreakdown
+from anchorclust.errors import InvalidParameter, NumericalBreakdown, RankDeficientWarning
 from anchorclust.metrics import accuracy
 from anchorclust.solver import (
     SolverConfig,
@@ -70,12 +70,12 @@ class TestUpdateF:
 
 class TestUpdateG:
     def test_identity_product(self):
-        G = update_G(np.eye(3), np.eye(3))
+        G = update_G(np.eye(3), np.eye(3), random_orthonormal(3, 3, seed=0))
         assert np.allclose(G, np.eye(3), atol=1e-12)
 
     def test_diagonal_positive(self):
         Z = np.diag([3.0, 1.0])
-        G = update_G(Z, np.eye(2))
+        G = update_G(Z, np.eye(2), random_orthonormal(2, 2, seed=0))
         assert np.allclose(G, np.eye(2), atol=1e-12)
         assert np.trace(G.T @ Z.T @ np.eye(2)) == pytest.approx(4.0)
 
@@ -84,12 +84,68 @@ class TestUpdateG:
         for seed in range(20):
             Z = rng.standard_normal((8, 5))
             F = np.abs(rng.standard_normal((8, 3)))
-            G = update_G(Z, F)
+            G = update_G(Z, F, random_orthonormal(5, 3, seed=seed))
             W = Z.T @ F
             achieved = np.trace(G.T @ W)
             target = np.linalg.svd(W, compute_uv=False).sum()
             assert achieved == pytest.approx(target, abs=1e-10)
             assert np.max(np.abs(G.T @ G - np.eye(3))) < 1e-12
+
+    def test_full_rank_is_u_vt_bitwise(self):
+        rng = np.random.default_rng(5)
+        for seed in range(20):
+            Z = rng.standard_normal((8, 5))
+            F = np.abs(rng.standard_normal((8, 3)))
+            U, _, Vt = np.linalg.svd(Z.T @ F, full_matrices=False)
+            assert np.array_equal(update_G(Z, F, random_orthonormal(5, 3, seed)), U @ Vt)
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_rank_deficient_completion_is_nearest_previous(self, r):
+        # W = Z^T F has rank r < c = 3 <= m = 5. The maximizers of
+        # Tr(G^T W) are U_r V_r^T + Q V_n^T over every orthonormal m x (c - r)
+        # Q orthogonal to U_r; the step must pick the one nearest G_prev.
+        rng = np.random.default_rng(r)
+        m, c = 5, 3
+        for trial in range(20):
+            Z = rng.standard_normal((8, m))
+            F = rng.standard_normal((8, r)) @ rng.standard_normal((r, c))
+            G_prev = random_orthonormal(m, c, seed=100 * r + trial)
+            G = update_G(Z, F, G_prev)
+            W = Z.T @ F
+            U, s, Vt = np.linalg.svd(W, full_matrices=True)
+            assert np.max(np.abs(G.T @ G - np.eye(c))) < 1e-12
+            assert np.trace(G.T @ W) == pytest.approx(s.sum(), abs=1e-10)
+
+            def maximizer(O):
+                # O: (m - r) x (c - r), orthonormalized, in U's complement
+                Q = U[:, r:] @ np.linalg.qr(O)[0]
+                return U[:, :r] @ Vt[:r] + Q @ Vt[r:]
+
+            best = np.trace(G.T @ G_prev)
+            O_opt = U[:, r:].T @ G @ Vt[r:].T
+            for _ in range(50):
+                for O in (rng.standard_normal((m - r, c - r)),
+                          O_opt + 1e-3 * rng.standard_normal((m - r, c - r))):
+                    assert np.trace(maximizer(O).T @ G_prev) <= best + 1e-12
+
+            R = random_orthonormal(c, c, seed=trial)
+            rotated = update_G(Z, F @ R, G_prev @ R)
+            assert np.allclose(rotated, G @ R, atol=1e-12)
+
+    def test_zero_product_keeps_basis(self):
+        G_prev = random_orthonormal(5, 3, seed=1)
+        G = update_G(np.zeros((8, 5)), np.ones((8, 3)), G_prev)
+        assert np.allclose(G, G_prev, atol=1e-14)
+
+    def test_non_unique_completion_warns(self):
+        # r = 1 and G_prev V_n = e_1 lies in span(U_r): every Q orthogonal
+        # to U_r is equally near
+        W = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        G_prev = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+        with pytest.warns(RankDeficientWarning):
+            G = update_G(np.eye(3), W, G_prev)
+        assert np.max(np.abs(G.T @ G - np.eye(2))) < 1e-12
+        assert np.trace(G.T @ W) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSvt:
@@ -321,9 +377,9 @@ class TestInitState:
         state = init_state(gs, SolverConfig(c=2))
         assert state.alpha.shape == (3,)
 
-    def test_c_above_m_warns(self):
+    def test_c_above_m_refused(self):
         gs = random_graph_set(6, 2, 2, seed=3)
-        with pytest.warns(UserWarning, match="exceeds the anchor count"):
+        with pytest.raises(InvalidParameter, match="need c <= m, got c=3, m=2"):
             init_state(gs, SolverConfig(c=3))
 
 
@@ -389,7 +445,7 @@ class TestFit:
         state = init_state(gs, cfg)
         for _ in range(10):
             state.F = update_F(state.Z, state.G)
-            state.G = update_G(state.Z, state.F)
+            state.G = update_G(state.Z, state.F, state.G)
             state.Z = dense_update_Z(gs.graphs, state.alpha, state.F, state.G,
                                      cfg.beta, cfg.gamma)
             state.alpha = dense_update_alpha(gs.graphs, state.Z)
@@ -512,11 +568,12 @@ class TestFactoredFit:
         assert_matches_dense_reference(fit(gs, cfg), gs, cfg)
 
     def test_more_clusters_than_anchors(self):
+        # G cannot have c orthonormal columns in R^m; c = m still fits
         gs = random_graph_set(40, 6, 2, seed=5)
-        cfg = SolverConfig(c=8, max_iters=30, seed=5)
-        with pytest.warns(UserWarning, match="exceeds the anchor count"):
-            result = fit(gs, cfg)
-        assert_matches_dense_reference(result, gs, cfg)
+        with pytest.raises(InvalidParameter, match="need c <= m, got c=7, m=6"):
+            fit(gs, SolverConfig(c=7))
+        cfg = SolverConfig(c=6, max_iters=30, seed=5)
+        assert_matches_dense_reference(fit(gs, cfg), gs, cfg)
 
     def test_single_view(self):
         for seed in range(5):

@@ -69,10 +69,10 @@ class AnchorSet:
 
 class AnchorGraphSet:
     """V n x m row-stochastic sample-to-anchor graphs (dense ones are
-    converted to CSR), stored once as the block row H = [S_1 ... S_V]
-    (n x Vm) and once as its transpose Ht, with what the solver needs of
-    them, computed when built: the cross-Grams C[v, u] = S_v^T S_u (m x m)
-    and Q_vu = <S_v, S_u>_F = tr(C[v, u])."""
+    converted to CSR), stored once, as the CSR block row H = [S_1 ... S_V]
+    (n x Vm); products with H^T go through H.T, a CSC view of its arrays.
+    Built with them: the cross-Grams C[v, u] = S_v^T S_u (m x m) and
+    Q_vu = <S_v, S_u>_F = tr(C[v, u]), which the solver reads."""
 
     def __init__(self, graphs: list, k: int):
         if not graphs:
@@ -89,8 +89,7 @@ class AnchorGraphSet:
         self.k = k
         self.num_views = V
         self.H = sp.hstack(graphs, format="csr")
-        self.Ht = self.H.T.tocsr()
-        C = (self.Ht @ self.H).toarray().reshape(V, m, V, m)
+        C = (self.H.T @ self.H).toarray().reshape(V, m, V, m)
         self.C = np.ascontiguousarray(C.transpose(0, 2, 1, 3))
         self.Q = np.einsum("vuii->vu", self.C)
 
@@ -114,7 +113,7 @@ class AnchorGraphSet:
 
     def each_t_times(self, Y: np.ndarray) -> np.ndarray:
         """The V products S_v^T Y of an n x c block Y, as a V x m x c array."""
-        return (self.Ht @ Y).reshape(self.num_views, self.m, Y.shape[1])
+        return (self.H.T @ Y).reshape(self.num_views, self.m, Y.shape[1])
 
     def mixture(self, alpha: np.ndarray) -> np.ndarray:
         """sum_v alpha_v S_v as a dense n x m array; the only place the
@@ -210,8 +209,6 @@ def select_anchors(
     ds: MultiViewDataset, m: int, seed: int = 0, max_iters: int = 100
 ) -> AnchorSet:
     """Run k-means independently per view; the centers are the anchors."""
-    if not (1 <= m <= ds.n):
-        raise InvalidParameter(f"need 1 <= m <= n, got m={m}, n={ds.n}")
     if seed < 0:
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

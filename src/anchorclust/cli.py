@@ -518,14 +518,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return exc.exit_status
-    except NumericalBreakdown as exc:
-        print(f"numerical breakdown: {exc}", file=sys.stderr)
-        return exc.exit_status
-    except DataError as exc:
-        print(f"data error [{type(exc).__name__}]: {exc}", file=sys.stderr)
+    except (ConfigError, DataError, NumericalBreakdown) as exc:
+        print(f"{exc.label.format(type(exc).__name__)}: {exc}", file=sys.stderr)
         return exc.exit_status
 
 

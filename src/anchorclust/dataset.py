@@ -183,7 +183,8 @@ def _parse_f64le_matrix(path: Path, n: int, dims: int) -> np.ndarray:
     return data.reshape(n, dims)
 
 
-def _require(meta: dict, key: str, kind, where: str):
+def _require(meta: dict, key: str, kind, where: str, least: int | None = None):
+    """meta[key], which must be a kind (not bool) and, given least, >= least."""
     if key not in meta:
         raise MalformedMeta(f"{where}: missing key '{key}'")
     value = meta[key]
@@ -192,6 +193,8 @@ def _require(meta: dict, key: str, kind, where: str):
             f"{where}: key '{key}' should be {kind.__name__}, "
             f"got {type(value).__name__}"
         )
+    if least is not None and value < least:
+        raise MalformedMeta(f"{where}: key '{key}' should be >= {least}, got {value}")
     return value
 
 
@@ -215,7 +218,7 @@ def load_dataset(root_path) -> MultiViewDataset:
     meta_path = root / "meta.json"
     meta = read_json(meta_path, MalformedMeta)
 
-    n = _require(meta, "n", int, str(meta_path))
+    n = _require(meta, "n", int, str(meta_path), least=1)
     entries = _require(meta, "views", list, str(meta_path))
     if not entries:
         raise MalformedMeta(f"{meta_path}: 'views' list is empty")
@@ -227,7 +230,7 @@ def load_dataset(root_path) -> MultiViewDataset:
             raise MalformedMeta(f"{where}: expected an object")
         name = _require(entry, "name", str, where)
         fname = _require(entry, "file", str, where)
-        dims = _require(entry, "dims", int, where)
+        dims = _require(entry, "dims", int, where, least=1)
         fmt = _require(entry, "format", str, where)
         if fmt not in VIEW_FORMATS:
             raise MalformedMeta(

@@ -2,7 +2,9 @@
 
 Every error sits under exactly one of three categories, ConfigError,
 DataError and NumericalBreakdown, whose exit_status is the command-line
-exit status. io_errors turns each OSError into MissingFile or IoError.
+exit status and whose label, formatted with the error's class name,
+starts its stderr line. io_errors turns each OSError into MissingFile or
+IoError.
 """
 
 from contextlib import contextmanager
@@ -16,12 +18,14 @@ class ConfigError(AnchorClustError):
     """A run setting or an argument is invalid."""
 
     exit_status = 2
+    label = "config error [{}]"
 
 
 class DataError(AnchorClustError):
     """An input or output file is missing, unreadable, unwritable or unusable."""
 
     exit_status = 3
+    label = "data error [{}]"
 
 
 class MissingFile(DataError):
@@ -61,9 +65,10 @@ class AllZeroGraph(DataError):
 
 
 class NumericalBreakdown(AnchorClustError):
-    """The objective became non-finite; the configuration is unusable."""
+    """A fit cycle broke down numerically; the configuration is unusable."""
 
     exit_status = 4
+    label = "numerical breakdown"
 
 
 @contextmanager

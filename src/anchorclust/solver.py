@@ -385,50 +385,39 @@ def labels_from_F(F: np.ndarray) -> np.ndarray:
 
 def fit(graphs: AnchorGraphSet, config: SolverConfig) -> ClusteringResult:
     """Run the alternating scheme until the relative objective change
-    drops below rel_tol or max_iters cycles elapse. A single view keeps
-    alpha = [1.0] and skips the alpha step."""
+    drops below rel_tol or max_iters cycles elapse. Cycle 0 evaluates the
+    objective at init_state's point; each later cycle runs the F, G, Z and
+    alpha steps, then the objective. A single view keeps alpha = [1.0] and
+    skips the alpha step. A LinAlgError or a non-finite objective in any
+    cycle raises NumericalBreakdown naming that cycle."""
     t0 = time.perf_counter()
     state = init_state(graphs, config)
-    Z = state._Z
+    Z, history = state._Z, state.objective_history
     beta, gamma = config.beta, config.gamma
-
-    try:
-        prev = _objective(Z, state.alpha, beta, gamma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"objective failed at initialization: {exc}") from None
-    if not np.isfinite(prev):
-        raise NumericalBreakdown("objective is non-finite at initialization")
-    state.objective_history.append(prev)
     converged = False
-    for cycle in range(1, config.max_iters + 1):
+    for cycle in range(config.max_iters + 1):
         try:
-            state.F = update_F(Z, state.G)
-            SvtF = np.empty((graphs.num_views, graphs.m, config.c))
-            state.G = update_G(Z, state.F, state.G, SvtF)
-            Z = update_Z(graphs, state.alpha, state.F, state.G, beta, gamma, SvtF)
-            state.Z = Z
-            if graphs.num_views > 1:
-                state.alpha = update_alpha(graphs, Z)
+            if cycle:
+                state.F = update_F(Z, state.G)
+                SvtF = np.empty((graphs.num_views, graphs.m, config.c))
+                state.G = update_G(Z, state.F, state.G, SvtF)
+                Z = state.Z = update_Z(graphs, state.alpha, state.F, state.G,
+                                       beta, gamma, SvtF)
+                if graphs.num_views > 1:
+                    state.alpha = update_alpha(graphs, Z)
+            history.append(_objective(Z, state.alpha, beta, gamma))
         except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdown(
-                f"linear algebra failed at cycle {cycle}: {exc}"
-            ) from None
-        obj = _objective(Z, state.alpha, beta, gamma)
-        state.objective_history.append(obj)
+            raise NumericalBreakdown(f"linear algebra failed at cycle {cycle}: {exc}") from None
+        if not np.isfinite(history[-1]):
+            raise NumericalBreakdown(f"objective became non-finite at cycle {cycle} "
+                                     f"(beta={beta}, gamma={gamma})")
         state.iters_run = cycle
-        if not np.isfinite(obj):
-            raise NumericalBreakdown(
-                f"objective became non-finite at cycle {cycle} "
-                f"(beta={beta}, gamma={gamma})"
-            )
-        if abs(obj - prev) / max(prev, 1e-12) < config.rel_tol:
+        if cycle and abs(history[-1] - history[-2]) / max(history[-2], 1e-12) < config.rel_tol:
             converged = True
             break
-        prev = obj
 
-    labels = labels_from_F(state.F)
     return ClusteringResult(
-        labels=labels,
+        labels=labels_from_F(state.F),
         state=state,
         elapsed=time.perf_counter() - t0,
         converged=converged,

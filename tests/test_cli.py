@@ -724,6 +724,22 @@ def test_every_error_has_one_category(monkeypatch, capsys):
         assert err == prefixes[category].format(cls.__name__) + "boom\n"
 
 
+def test_breakdown_in_a_cycle_exits_4(blob_dir, tmp_path, capsys, monkeypatch):
+    # the objective runs once at cycle 0 and once per later cycle
+    real, calls = solver_mod._objective, []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("eigh did not converge")
+        return real(*args)
+
+    monkeypatch.setattr(solver_mod, "_objective", failing)
+    assert main(fit_args(blob_dir, tmp_path / "o")) == 4
+    assert capsys.readouterr().err == (
+        "numerical breakdown: linear algebra failed at cycle 2: eigh did not converge\n")
+
+
 class TestReconstructCommand:
     def test_dense_output_row_stochastic(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -1162,6 +1178,24 @@ def test_only_errors_catches_oserror():
                     for name in ast.walk(node.type))
         ]
     assert handlers == []
+
+
+def test_one_breakdown_handler():
+    # a LinAlgError becomes NumericalBreakdown in one place, the cycle loop
+    # of solver.fit; a second handler would give a failure its own message
+    package = Path(cli.__file__).parent
+    handlers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                    getattr(name, "attr", getattr(name, "id", None)) == "LinAlgError"
+                    for name in ast.walk(node.type)):
+                owner = max((f for f in funcs if f.lineno <= node.lineno <= f.end_lineno),
+                            key=lambda f: f.lineno, default=None)
+                handlers.append(f"{path.name}:{owner.name if owner else '<module>'}")
+    assert handlers == ["solver.py:fit"]
 
 
 def test_only_cli_prints():

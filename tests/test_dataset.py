@@ -154,6 +154,23 @@ class TestLoad:
         ds = load_dataset(root)
         assert np.array_equal(ds.views[0], X)
 
+    @pytest.mark.parametrize("fmt, n, dims, key", [("f64le", -1, -2, "n"), ("csv", 0, 1, "n"),
+                                                  ("csv", 2, 0, "dims")])
+    def test_n_and_dims_below_one(self, tmp_path, fmt, n, dims, key):
+        # n = -1, dims = -2 once reached reshape(-1, -2) on two values
+        root = tmp_path / "d"
+        root.mkdir()
+        fname = "v0.f64" if fmt == "f64le" else "v0.csv"
+        if fmt == "f64le":
+            np.array([1.0, 2.0]).astype("<f8").tofile(root / fname)
+        else:
+            (root / fname).write_text("1.0\n2.0\n")
+        meta = {"n": n, "views": [{"name": "v0", "file": fname, "dims": dims, "format": fmt}]}
+        (root / "meta.json").write_text(json.dumps(meta))
+        value = n if key == "n" else dims
+        with pytest.raises(MalformedMeta, match=f"key '{key}' should be >= 1, got {value}"):
+            load_dataset(root)
+
 
 def parse_outcome(parse, path, dims):
     """What a CSV parser makes of a file: its bits, or its typed error."""

@@ -479,6 +479,53 @@ class TestFit:
             fit(gs, SolverConfig(c=2))
 
 
+def fail_at_call(monkeypatch, name, call, outcome):
+    """Make solver.<name> raise outcome (an exception) or return it at its
+    call-th call; every other call runs the real function."""
+    real, calls = getattr(solver, name), []
+
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        if len(calls) != call:
+            return real(*args, **kwargs)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(solver, name, wrapped)
+
+
+class TestBreakdown:
+    """A LinAlgError or a non-finite objective in any cycle of fit, cycle 0
+    included, ends in NumericalBreakdown naming that cycle."""
+
+    CFG = SolverConfig(c=3, beta=0.4, gamma=0.2, max_iters=10, rel_tol=1e-300, seed=1)
+
+    @staticmethod
+    def call_of(name, cycle):
+        # _objective runs once at cycle 0; the block steps from cycle 1 on
+        return cycle + 1 if name == "_objective" else cycle
+
+    @pytest.mark.parametrize("name, cycle", [
+        ("update_F", 3), ("update_G", 3), ("update_Z", 3), ("update_alpha", 3),
+        ("_objective", 3), ("_objective", 0)])
+    def test_linalg_error(self, monkeypatch, name, cycle):
+        gs = random_graph_set(12, 5, 2, seed=8)
+        error = np.linalg.LinAlgError("SVD did not converge")
+        fail_at_call(monkeypatch, name, self.call_of(name, cycle), error)
+        message = f"^linear algebra failed at cycle {cycle}: SVD did not converge$"
+        with pytest.raises(NumericalBreakdown, match=message):
+            fit(gs, self.CFG)
+
+    @pytest.mark.parametrize("cycle", [0, 3])
+    def test_nan_objective(self, monkeypatch, cycle):
+        gs = random_graph_set(12, 5, 2, seed=8)
+        fail_at_call(monkeypatch, "_objective", self.call_of("_objective", cycle), np.nan)
+        message = rf"^objective became non-finite at cycle {cycle} \(beta=0.4, gamma=0.2\)$"
+        with pytest.raises(NumericalBreakdown, match=message):
+            fit(gs, self.CFG)
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",

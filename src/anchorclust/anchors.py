@@ -14,11 +14,11 @@ which is what we do.
 
 Each view's k-means runs on its own, so anchor j of one view and anchor
 j of another are unrelated centres. build_all therefore permutes the
-graph columns of each view v >= 1 to best match view 0's: graph column j
-of view v is anchor row perm_v[j] of that view's AnchorSet, where perm_v
-maximizes tr(S_0^T S_v[:, perm_v]) (Wang et al., "Align then Fusion",
-NeurIPS 2022), found by the assignment module's solver. View 0 keeps its
-order, so the consensus graph's columns follow view 0's anchors.
+graph columns of each view v >= 1 to best match view 0's: perms[v]
+maximizes tr(S_0^T S_v[:, perms[v]]) (Wang et al., "Align then Fusion",
+NeurIPS 2022), the assignment module's solution on the graph set's
+cross-Gram C[0, v]. View 0 keeps its order, so the consensus graph's
+columns follow view 0's anchors.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .errors import (
     DegenerateViewWarning,
     InvalidParameter,
     MalformedMeta,
+    MissingFile,
     ShapeMismatch,
     io_errors,
 )
@@ -72,7 +73,8 @@ class AnchorGraphSet:
     converted to CSR), stored once, as the CSR block row H = [S_1 ... S_V]
     (n x Vm); products with H^T go through H.T, a CSC view of its arrays.
     Built with them: the cross-Grams C[v, u] = S_v^T S_u (m x m) and
-    Q_vu = <S_v, S_u>_F = tr(C[v, u]), which the solver reads."""
+    Q_vu = <S_v, S_u>_F = tr(C[v, u]), which the solver reads. Column j of
+    S_v is anchor row perms[v, j] of view v: the identity, or build_all's."""
 
     def __init__(self, graphs: list, k: int):
         if not graphs:
@@ -92,6 +94,7 @@ class AnchorGraphSet:
         C = (self.H.T @ self.H).toarray().reshape(V, m, V, m)
         self.C = np.ascontiguousarray(C.transpose(0, 2, 1, 3))
         self.Q = np.einsum("vuii->vu", self.C)
+        self.perms = np.tile(np.arange(m), (V, 1))
 
     @property
     def n(self) -> int:
@@ -283,31 +286,26 @@ def build_anchor_graph(X: np.ndarray, anchors: np.ndarray, k: int) -> sp.csr_arr
     return S
 
 
-def column_alignment(S0: sp.csr_array, S: sp.csr_array) -> np.ndarray:
-    """The column permutation perm of S that best matches S0: it maximizes
-    tr(S0^T S[:, perm]) = sum_j <S0[:, j], S[:, perm[j]]>: the minimum-cost
-    assignment on the negated m x m cross-Gram S0^T S (O(n k^2) to form)."""
-    return min_cost_assignment(-(S0.T @ S).toarray())
-
-
 def build_all(ds: MultiViewDataset, anchor_set: AnchorSet, k: int) -> AnchorGraphSet:
-    """Anchor graph per view, with the columns of each view v >= 1 permuted
-    to match view 0's (see column_alignment): column j of graph v is row
-    perm_v[j] of anchor_set.anchors[v], and view 0 keeps its order.
-    O(n*m*d) after anchor selection."""
+    """Anchor graph per view, view v >= 1 aligned to view 0 by the
+    assignment on -C[0, v] of the graphs as built; then H's columns and
+    C[v, u] -> C[v, u][perms[v]][:, perms[u]] are permuted to match, so the
+    set equals a rebuild from its graphs. O(n*m*d) after anchor selection."""
     if len(anchor_set.anchors) != ds.num_views:
         raise ShapeMismatch(
             f"{len(anchor_set.anchors)} anchor matrices for {ds.num_views} views"
         )
-    graphs = [
-        build_anchor_graph(X, C, k) for X, C in zip(ds.views, anchor_set.anchors)
-    ]
-    for S in graphs[1:]:
-        new_column = np.argsort(column_alignment(graphs[0], S)).astype(S.indices.dtype)
-        S.indices = new_column[S.indices]
-        S.has_sorted_indices = False
-        S.sort_indices()
-    return AnchorGraphSet(graphs=graphs, k=k)
+    gs = AnchorGraphSet([build_anchor_graph(X, C, k)
+                         for X, C in zip(ds.views, anchor_set.anchors)], k=k)
+    V, perms = gs.num_views, gs.perms
+    for v in range(1, V):
+        perms[v] = min_cost_assignment(-gs.C[0, v])
+    gs.H = gs.H[:, (np.arange(V)[:, None] * gs.m + perms).ravel()]
+    gs.H.sort_indices()
+    views = np.arange(V)[:, None, None]
+    gs.C = gs.C[views[:, None], views, perms[:, None, :, None], perms[:, None, :]]
+    gs.Q = np.einsum("vuii->vu", gs.C)
+    return gs
 
 
 def dataset_digest(ds: MultiViewDataset, normalize: bool) -> str:
@@ -336,7 +334,10 @@ def load_anchor_set(root_path, key: dict) -> AnchorSet | None:
     """The anchors cached under root_path if its key file equals key,
     else None; no anchor file is read on a miss."""
     key_path = Path(root_path) / ANCHOR_KEY_FILE
-    if not key_path.is_file() or dataset_mod.read_json(key_path, MalformedMeta) != key:
+    try:
+        if dataset_mod.read_json(key_path, MalformedMeta) != key:
+            return None
+    except MissingFile:
         return None
     views = dataset_mod.load_dataset(root_path).views
     return AnchorSet(anchors=views, m=key["m"], kmeans_iters_used=0)

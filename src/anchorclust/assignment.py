@@ -1,4 +1,4 @@
-"""Minimum-cost perfect matching on a square cost matrix.
+"""Minimum-cost matching of every row of an r x m cost matrix, r <= m.
 
 Crouse's shortest augmenting path method (D. F. Crouse, "On implementing
 2D rectangular assignment algorithms", IEEE TAES 52(4), 2016), with the
@@ -12,7 +12,7 @@ return the same assignment on every input:
   that has no row yet is taken, else the first one.
 
 The scan over the columns still in the search is vectorized; the rest
-follows the C code step by step. O(m^3) in the worst case.
+follows the C code step by step. O(r^2 m) in the worst case.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ import numpy as np
 
 
 def min_cost_assignment(cost) -> np.ndarray:
-    """col with sum_i cost[i, col[i]] minimal over all permutations col of
-    range(m), for a finite m x m cost; row i is matched to column col[i]."""
+    """The r distinct columns col[i] of range(m) that minimize the sum of
+    cost[i, col[i]], for a finite r x m cost, r <= m: a permutation if square."""
     cost = np.asarray(cost, dtype=np.float64)
-    m = cost.shape[0]
-    u, v = np.zeros(m), np.zeros(m)
-    col4row, row4col = [-1] * m, np.full(m, -1)
+    r, m = cost.shape
+    u, v = np.zeros(r), np.zeros(m)
+    col4row, row4col = [-1] * r, np.full(m, -1)
     path = [-1] * m  # path[j]: the row before column j on the shortest path
-    for cur in range(m):
+    for cur in range(r):
         # the columns still in the search, and their entries, in search order
         remaining = np.arange(m - 1, -1, -1)
         rem_cost = np.full(m, np.inf)
@@ -39,12 +39,12 @@ def min_cost_assignment(cost) -> np.ndarray:
         rows, cols, costs = [cur], [], []
         i, min_val, num = cur, 0.0, m
         while True:
-            r = min_val + cost[i].take(remaining[:num])
-            r -= u[i]
-            r -= rem_v[:num]
+            reduced = min_val + cost[i].take(remaining[:num])
+            reduced -= u[i]
+            reduced -= rem_v[:num]
             scores = rem_cost[:num]
-            shorter = r < scores
-            np.copyto(scores, r, where=shorter)
+            shorter = reduced < scores
+            np.copyto(scores, reduced, where=shorter)
             rem_path[:num][shorter] = i
             tied = scores == np.minimum.reduce(scores)
             free = (tied & rem_free[:num]).nonzero()[0]

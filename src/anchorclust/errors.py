@@ -97,7 +97,5 @@ class RankDeficientWarning(UserWarning):
 
 
 class QpNotConvergedWarning(UserWarning):
-    """No longer raised: the view-weight step is an exact active-set solve.
-    The class stays only so that perfbench's traced
-    solver.qp_not_converged_warnings keeps reporting 0; it can go once
-    the benchmark drops that metric."""
+    """Never raised. perfbench reports solver.qp_not_converged_warnings only
+    while this class exists; it goes when the benchmark drops that metric."""

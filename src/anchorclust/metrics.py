@@ -39,11 +39,9 @@ def contingency(pred, truth) -> ContingencyTable:
 
 
 def _accuracy(ct: ContingencyTable) -> float:
-    side = max(ct.counts.shape)
-    padded = np.zeros((side, side), dtype=np.int64)
-    padded[: ct.counts.shape[0], : ct.counts.shape[1]] = ct.counts
-    cols = min_cost_assignment(-padded)
-    return int(padded[np.arange(side), cols].sum()) / ct.n
+    counts = ct.counts if ct.counts.shape[0] <= ct.counts.shape[1] else ct.counts.T
+    cols = min_cost_assignment(-counts)
+    return int(counts[np.arange(counts.shape[0]), cols].sum()) / ct.n
 
 
 def _nmi(ct: ContingencyTable) -> float:
@@ -93,8 +91,8 @@ def _f_precision(tp: int, pred_pairs: int, true_pairs: int, _) -> tuple[float, f
 
 def accuracy(pred, truth) -> float:
     """Best cluster-to-class matching rate, via the minimum-cost assignment
-    (assignment.min_cost_assignment) on the negated, zero-padded square
-    contingency table."""
+    (assignment.min_cost_assignment) on the negated contingency table,
+    with its smaller side as rows."""
     return _accuracy(contingency(pred, truth))
 
 

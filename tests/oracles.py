@@ -2,11 +2,20 @@
 
 Everything here recomputes results by brute force or by a visibly
 different route (enumeration, grids, triple loops, dense n x m matrices)
-and must stay free of calls into the code paths under test. There are two
-exceptions. dense_update_alpha forms the view-weight QP densely and
-hands it to the package's QP solve, which simplex_qp_by_enumeration
-checks on its own. dense_anchor_graph takes the package's distances, so
-that it pins how the build stores the graph, tie order included.
+and must stay free of calls into the code paths under test, with three
+exceptions:
+
+- dense_update_alpha forms the view-weight QP densely and hands it to
+  the package's QP solve, which simplex_qp_by_enumeration checks on its
+  own;
+- dense_anchor_graph takes the package's distances, so that it pins how
+  the build stores the graph, tie order included;
+- dense_reference_fit runs the package's update_F, update_G,
+  SolverState and objective beside its own dense Z and alpha steps, so
+  it checks the factored Z, alpha and objective paths, not the F and G
+  steps.
+
+random_graph_set only wraps its graphs in the package's AnchorGraphSet.
 Graphs may be passed dense or sparse; they are made dense on reading.
 """
 

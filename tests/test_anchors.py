@@ -19,12 +19,12 @@ from oracles import (
 
 import anchorclust
 from anchorclust.anchors import (
+    ANCHOR_KEY_FILE,
     AnchorGraphSet,
     AnchorSet,
     _cluster_means,
     build_all,
     build_anchor_graph,
-    column_alignment,
     load_anchor_set,
     save_anchor_set,
     select_anchors,
@@ -35,6 +35,7 @@ from anchorclust.errors import (
     DegenerateViewWarning,
     InvalidParameter,
     MalformedMeta,
+    MissingFile,
     ShapeMismatch,
 )
 from anchorclust.metrics import nmi
@@ -332,16 +333,20 @@ def row_sorted_data(S):
 
 class TestAlignment:
     """build_all permutes the columns of each view v >= 1 to best match
-    view 0's (column_alignment); the graphs are otherwise as built."""
+    view 0's and records the permutations in gs.perms; the graphs are
+    otherwise as built."""
 
     @pytest.mark.parametrize("m", [4, 5, 6])
     @pytest.mark.parametrize("seed", range(4))
     def test_assignment_reaches_brute_force_trace(self, m, seed):
         rng = np.random.default_rng(seed)
         X0, X1 = rng.standard_normal((40, 2)), rng.standard_normal((40, 3))
-        S0 = build_anchor_graph(X0, rng.standard_normal((m, 2)), 2)
-        S1 = build_anchor_graph(X1, rng.standard_normal((m, 3)), 2)
-        perm = column_alignment(S0, S1)
+        A0, A1 = rng.standard_normal((m, 2)), rng.standard_normal((m, 3))
+        S0, S1 = build_anchor_graph(X0, A0, 2), build_anchor_graph(X1, A1, 2)
+        gs = build_all(MultiViewDataset(views=[X0, X1]),
+                       AnchorSet(anchors=[A0, A1], m=m, kmeans_iters_used=0), k=2)
+        assert np.array_equal(gs.perms[0], np.arange(m))
+        perm = gs.perms[1]
         _, best = best_column_permutation(S0, S1)
         D0, D1 = S0.toarray(), S1.toarray()
         assert sorted(perm) == list(range(m))
@@ -353,9 +358,10 @@ class TestAlignment:
         gs = build_all(ds, an, k=4)
         raw = [build_anchor_graph(X, C, 4) for X, C in zip(ds.views, an.anchors)]
         assert_same_csr_bits(gs.graphs[0], raw[0])
+        assert np.array_equal(gs.perms[0], np.arange(12))
         moved = 0
-        for X, C, S, R in zip(ds.views[1:], an.anchors[1:], gs.graphs[1:], raw[1:]):
-            perm = column_alignment(raw[0], R)
+        for X, C, S, R, perm in zip(ds.views[1:], an.anchors[1:], gs.graphs[1:], raw[1:],
+                                    gs.perms[1:]):
             assert sorted(perm) == list(range(12))
             moved += int((perm != np.arange(12)).sum())
             ref = sp.csr_array(R[:, perm])
@@ -373,16 +379,31 @@ class TestAlignment:
         C = select_anchors(MultiViewDataset(views=[X]), m=8, seed=5).anchors[0]
         S = build_anchor_graph(X, C, 3)
         assert np.unique(S.toarray().T, axis=0).shape[0] == 8  # distinct columns
-        assert np.array_equal(column_alignment(S, S), np.arange(8))
         ds = MultiViewDataset(views=[X, X])
         gs = build_all(ds, AnchorSet(anchors=[C, C], m=8, kmeans_iters_used=0), k=3)
+        assert np.array_equal(gs.perms, np.tile(np.arange(8), (2, 1)))
         assert_same_csr_bits(gs.graphs[1], gs.graphs[0])
         # shuffled anchors of the second view: the alignment undoes the shuffle
         shuffle = np.random.default_rng(5).permutation(8)
-        S_shuffled = build_anchor_graph(X, C[shuffle], 3)
-        assert np.array_equal(column_alignment(S, S_shuffled), np.argsort(shuffle))
         gs = build_all(ds, AnchorSet(anchors=[C, C[shuffle]], m=8, kmeans_iters_used=0), k=3)
+        assert np.array_equal(gs.perms[1], np.argsort(shuffle))
         assert np.allclose(gs.graphs[1].toarray(), S.toarray(), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("V", [1, 2, 3])
+    def test_set_equals_rebuild_from_its_graphs(self, V):
+        # the alignment permutes H's columns and C's blocks in place of a
+        # second product: a set rebuilt from the aligned graphs has the same bits
+        ds = synth_blobs(400, 4, V, [3, 5, 4][:V], noise=2.0, seed=V)
+        gs = build_all(ds, select_anchors(ds, m=10, seed=V), k=3)
+        rebuilt = AnchorGraphSet(gs.graphs, 3)
+        assert gs.H.has_canonical_format
+        assert_same_csr_bits(gs.H, rebuilt.H)
+        assert_same_bits(gs.C, rebuilt.C)
+        assert_same_bits(gs.Q, rebuilt.Q)
+        assert gs.C.flags.c_contiguous
+        assert gs.perms.shape == (V, 10)
+        assert all(sorted(p) == list(range(10)) for p in gs.perms)
+        assert V == 1 or (gs.perms[1:] != np.arange(10)).any()  # columns moved
 
     def test_hard_blobs_quality(self):
         # noise 15, V=3: independently ordered anchor columns scored NMI
@@ -472,6 +493,17 @@ class TestGraphCache:
         (tmp_path / "cache" / "meta.json").write_text(meta)
         with pytest.raises(MalformedMeta):
             load_anchor_set(tmp_path / "cache", self.KEY)
+
+    def test_missing_key_is_a_miss_and_missing_view_an_error(self, tmp_path):
+        # the key read decides a miss, with no stat before it; under a key
+        # that is present, a missing anchor file is a data error (exit 3)
+        ds = synth_blobs(30, 2, 2, [2, 3], seed=0)
+        save_anchor_set(select_anchors(ds, m=4, seed=9), tmp_path / "cache", self.KEY)
+        (tmp_path / "cache" / "view1.f64").unlink()
+        with pytest.raises(MissingFile):
+            load_anchor_set(tmp_path / "cache", self.KEY)
+        (tmp_path / "cache" / ANCHOR_KEY_FILE).unlink()
+        assert load_anchor_set(tmp_path / "cache", self.KEY) is None
 
     def test_graph_set_shape_check(self):
         with pytest.raises(Exception):

@@ -11,20 +11,26 @@ import anchorclust
 from anchorclust.assignment import min_cost_assignment
 
 
-def cost_matrix(kind, n, rng):
+def cost_matrix(kind, r, m, rng):
     if kind == "random":
-        return rng.standard_normal((n, n))
+        return rng.standard_normal((r, m))
     if kind == "small_integers":  # full of ties
-        return rng.integers(-2, 3, size=(n, n)).astype(np.float64)
+        return rng.integers(-2, 3, size=(r, m)).astype(np.float64)
     if kind == "zero_one":
-        return (rng.random((n, n)) < 0.3).astype(np.float64)
+        return (rng.random((r, m)) < 0.3).astype(np.float64)
     if kind == "constant":
-        return np.full((n, n), float(rng.integers(-3, 4)))
-    # a negated contingency table, zero-padded to a square as metrics does
-    rows, cols = rng.integers(1, n + 1, size=2)
-    table = np.zeros((n, n), dtype=np.int64)
+        return np.full((r, m), float(rng.integers(-3, 4)))
+    # a negated contingency table whose partitions use only some of the
+    # row and column ids: its other rows and columns are zero
+    rows, cols = rng.integers(1, r + 1), rng.integers(1, m + 1)
+    table = np.zeros((r, m), dtype=np.int64)
     table[:rows, :cols] = rng.integers(0, 20, size=(rows, cols))
     return -table
+
+
+# square costs of every size to 40, then r < m: one row, half, all but one
+SHAPES = [(n, n) for n in range(1, 41)] + [
+    (r, m) for m in range(2, 31) for r in sorted({1, m // 2, m - 1})]
 
 
 @pytest.mark.parametrize(
@@ -32,12 +38,12 @@ def cost_matrix(kind, n, rng):
 def test_same_assignment_as_scipy(kind):
     # equal assignments, not only equal totals: ties must break the same way
     rng = np.random.default_rng(sum(map(ord, kind)))
-    for n in range(1, 41):
+    for r, m in SHAPES:
         for _ in range(3):
-            cost = cost_matrix(kind, n, rng)
+            cost = cost_matrix(kind, r, m, rng)
             rows, cols = linear_sum_assignment(cost)
-            assert np.array_equal(rows, np.arange(n))
-            assert np.array_equal(min_cost_assignment(cost), cols), (kind, n)
+            assert np.array_equal(rows, np.arange(r))
+            assert np.array_equal(min_cost_assignment(cost), cols), (kind, r, m)
 
 
 def test_import_loads_no_unused_scipy_subpackage():

@@ -592,6 +592,14 @@ class TestEvaluateCommand:
         assert list(scores) == ["acc", "nmi", "purity", "ari", "f_score", "precision"]
         assert scores["acc"] == 1.0
 
+    def test_many_predicted_ids(self, tmp_path, capsys):
+        # 4000 distinct predicted ids against 10 classes
+        (tmp_path / "truth.txt").write_text("".join(f"{i % 10}\n" for i in range(4000)))
+        (tmp_path / "pred.txt").write_text("".join(f"{i}\n" for i in range(4000)))
+        assert main(["evaluate", str(tmp_path / "truth.txt"),
+                     str(tmp_path / "pred.txt")]) == 0
+        assert json.loads(capsys.readouterr().out)["acc"] == 0.0025
+
     def test_missing_file_exits_3(self, tmp_path):
         (tmp_path / "truth.txt").write_text("0\n1\n")
         assert main(["evaluate", str(tmp_path / "truth.txt"),
@@ -1178,6 +1186,21 @@ def test_only_errors_catches_oserror():
                     for name in ast.walk(node.type))
         ]
     assert handlers == []
+
+
+def test_no_existence_precheck():
+    # a reader opens the file and lets the failed open decide (io_errors);
+    # a stat before the open is a second decision, and a race with a writer
+    package = Path(cli.__file__).parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("is_file", "exists", "is_dir")
+        ]
+    assert calls == []
 
 
 def test_one_breakdown_handler():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,18 @@ class TestAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             accuracy([0, 1], [0, 1, 2])
+
+    def test_many_predicted_ids_need_no_square_table(self):
+        # 4000 singleton clusters against 10 classes: the matching runs on
+        # the 10 x 4000 table, not on a 4000 x 4000 square (366 MiB)
+        truth = np.arange(4000) % 10
+        tracemalloc.start()
+        try:
+            assert accuracy(np.arange(4000), truth) == 10 / 4000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------- nmi

@@ -23,29 +23,20 @@ columns follow view 0's anchors.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import dataset as dataset_mod
 from .assignment import min_cost_assignment
 from .dataset import MultiViewDataset
 from .errors import (
     DegenerateRowWarning,
     DegenerateViewWarning,
     InvalidParameter,
-    MalformedMeta,
-    MissingFile,
     ShapeMismatch,
-    io_errors,
 )
-
-ANCHOR_KEY_FILE = "anchor_key.json"
 
 
 @dataclass(frozen=True)
@@ -121,11 +112,7 @@ class AnchorGraphSet:
     def mixture(self, alpha: np.ndarray) -> np.ndarray:
         """sum_v alpha_v S_v as a dense n x m array; the only place the
         graphs are made dense."""
-        graphs = self.graphs
-        Z = alpha[0] * graphs[0].toarray()
-        for a, S in zip(alpha[1:], graphs[1:]):
-            Z += a * S.toarray()
-        return Z
+        return self.mix_times(alpha, np.eye(self.m))
 
 
 def _sq_dists(X: np.ndarray, C: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
@@ -306,38 +293,3 @@ def build_all(ds: MultiViewDataset, anchor_set: AnchorSet, k: int) -> AnchorGrap
     gs.C = gs.C[views[:, None], views, perms[:, None, :, None], perms[:, None, :]]
     gs.Q = np.einsum("vuii->vu", gs.C)
     return gs
-
-
-def dataset_digest(ds: MultiViewDataset, normalize: bool) -> str:
-    """Anchor-cache key of a loaded dataset: its views' shapes and bytes
-    (after any normalization) and the normalize flag."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(b"normalize=%d" % bool(normalize))
-    for X in ds.views:
-        h.update(repr(X.shape).encode())
-        h.update(np.ascontiguousarray(X))
-    return h.hexdigest()
-
-
-def save_anchor_set(anchor_set: AnchorSet, root_path, key: dict) -> None:
-    """Cache anchors as an f64le dataset directory. The old key file goes
-    first and the new one last, so an interrupted save reads as a miss."""
-    key_path = Path(root_path) / ANCHOR_KEY_FILE
-    entry = MultiViewDataset(views=anchor_set.anchors)
-    with io_errors(f"writing anchor cache {key_path}"):
-        key_path.unlink(missing_ok=True)
-        dataset_mod.save_dataset(entry, root_path, fmt="f64le")
-        key_path.write_text(json.dumps(key) + "\n", encoding="utf-8")
-
-
-def load_anchor_set(root_path, key: dict) -> AnchorSet | None:
-    """The anchors cached under root_path if its key file equals key,
-    else None; no anchor file is read on a miss."""
-    key_path = Path(root_path) / ANCHOR_KEY_FILE
-    try:
-        if dataset_mod.read_json(key_path, MalformedMeta) != key:
-            return None
-    except MissingFile:
-        return None
-    views = dataset_mod.load_dataset(root_path).views
-    return AnchorSet(anchors=views, m=key["m"], kmeans_iters_used=0)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -47,6 +48,8 @@ from .errors import (
     DataError,
     InvalidParameter,
     MalformedConfig,
+    MalformedMeta,
+    MissingFile,
     NumericalBreakdown,
     io_errors,
 )
@@ -64,6 +67,8 @@ PRESETS = {
 }
 
 DEFAULT_K = 5
+
+ANCHOR_KEY_FILE = "anchor_key.json"
 
 
 @dataclass
@@ -214,21 +219,46 @@ def load_data(cfg: RunConfig):
     return dataset_mod.zscore(ds) if cfg.normalize else ds
 
 
+def cached_anchors(ds, m: int, seed: int,
+                   root: Path) -> tuple[anchors_mod.AnchorSet, bool]:
+    """The anchors of ds for m and seed, kept by --cache-graphs under root
+    as an f64le dataset directory beside the key file ANCHOR_KEY_FILE: m,
+    the seed and a digest of the views' shapes and bytes as k-means sees
+    them. Returns (anchor set, hit). A hit loads the entry; a miss reads
+    no anchor file, runs k-means and saves the entry, the old key file
+    removed first and the new one written last, so that an interrupted
+    save reads as a miss."""
+    digest = hashlib.blake2b(digest_size=16)
+    for X in ds.views:
+        digest.update(repr(X.shape).encode())
+        digest.update(np.ascontiguousarray(X))
+    key = {"m": m, "seed": seed, "digest": digest.hexdigest()}
+    key_path = root / ANCHOR_KEY_FILE
+    try:
+        hit = dataset_mod.read_json(key_path, MalformedMeta) == key
+    except MissingFile:
+        hit = False
+    if hit:
+        views = dataset_mod.load_dataset(root).views
+        return anchors_mod.AnchorSet(anchors=views, m=m, kmeans_iters_used=0), True
+    anchor_set = anchors_mod.select_anchors(ds, m, seed=seed)
+    entry = dataset_mod.MultiViewDataset(views=anchor_set.anchors)
+    with io_errors(f"writing anchor cache {key_path}"):
+        key_path.unlink(missing_ok=True)
+        dataset_mod.save_dataset(entry, root, fmt="f64le")
+        key_path.write_text(json.dumps(key) + "\n", encoding="utf-8")
+    return anchor_set, False
+
+
 def build_graphs(cfg: RunConfig, ds, cache_dir: Path) -> GraphBuild:
-    """Anchor graphs for cfg.m, built from the anchors that --cache-graphs
-    keeps in cache_dir under m, seed and the dataset digest."""
+    """Anchor graphs for cfg.m, from anchors that --cache-graphs keeps in
+    cache_dir (cached_anchors) or from k-means on every call without it."""
     c, m, k = _resolve_solver_params(cfg, ds)
     t0 = time.perf_counter()
-    anchor_set = None
     if cfg.cache_graphs:
-        digest = anchors_mod.dataset_digest(ds, cfg.normalize)
-        key = {"m": m, "seed": cfg.seed, "digest": digest}
-        anchor_set = anchors_mod.load_anchor_set(cache_dir, key)
-    cached = anchor_set is not None
-    if not cached:
-        anchor_set = anchors_mod.select_anchors(ds, m, seed=cfg.seed)
-        if cfg.cache_graphs:
-            anchors_mod.save_anchor_set(anchor_set, cache_dir, key)
+        anchor_set, cached = cached_anchors(ds, m, cfg.seed, cache_dir)
+    else:
+        anchor_set, cached = anchors_mod.select_anchors(ds, m, seed=cfg.seed), False
     gs = anchors_mod.build_all(ds, anchor_set, k)
     return GraphBuild(gs, ds.labels, c, time.perf_counter() - t0, cached)
 

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -19,16 +20,14 @@ from oracles import (
 
 import anchorclust
 from anchorclust.anchors import (
-    ANCHOR_KEY_FILE,
     AnchorGraphSet,
     AnchorSet,
     _cluster_means,
     build_all,
     build_anchor_graph,
-    load_anchor_set,
-    save_anchor_set,
     select_anchors,
 )
+from anchorclust.cli import ANCHOR_KEY_FILE, cached_anchors
 from anchorclust.dataset import MultiViewDataset, synth_blobs
 from anchorclust.errors import (
     DegenerateRowWarning,
@@ -288,6 +287,16 @@ class TestGraphSetStorage:
         for alpha in (np.full(3, 1 / 3), np.array([0.5, 0.0, 0.5]), np.array([0.2, 0.3, 0.5])):
             assert_same_bits(gs.mixture(alpha), mix_graphs(graphs, alpha))
 
+    @pytest.mark.parametrize("V", [1, 2, 3, 4])
+    def test_mixture_equals_view_by_view_sum(self, V):
+        # H times the stacked alpha_v I blocks adds each entry's views in
+        # view order from 0.0, as the dense sum does, so the bits agree
+        rng = np.random.default_rng(V)
+        graphs = [rng.random((40, 7)) * (rng.random((40, 7)) < 0.4) for _ in range(V)]
+        gs = AnchorGraphSet(graphs=graphs, k=2)
+        for alpha in [rng.dirichlet(np.ones(V)) for _ in range(5)] + list(np.eye(V)):
+            assert_same_bits(gs.mixture(alpha), mix_graphs(graphs, alpha))
+
 
 class TestBuildAll:
     def test_single_view_matches_direct_call(self):
@@ -469,41 +478,46 @@ print(best[6000] / best[3000])
 
 
 class TestGraphCache:
-    KEY = {"m": 4, "seed": 9, "digest": "d"}
+    """The anchor cache of --cache-graphs, cli.cached_anchors: an entry is
+    keyed on m, the seed and the views' bytes."""
 
     def test_round_trip(self, tmp_path):
         ds = synth_blobs(30, 2, 2, [2, 3], seed=0)
-        anchor_set = select_anchors(ds, m=4, seed=9)
-        save_anchor_set(anchor_set, tmp_path / "cache", self.KEY)
-        back = load_anchor_set(tmp_path / "cache", self.KEY)
+        anchor_set, hit = cached_anchors(ds, 4, 9, tmp_path / "cache")
+        assert not hit
+        back, hit = cached_anchors(ds, 4, 9, tmp_path / "cache")
+        assert hit
         for Ca, Cb in zip(anchor_set.anchors, back.anchors):
             assert np.array_equal(Ca, Cb)
         for k in (1, 2, 3):
             built, loaded = build_all(ds, anchor_set, k), build_all(ds, back, k)
             for Sa, Sb in zip(built.graphs, loaded.graphs):
                 assert Sa.toarray().tobytes() == Sb.toarray().tobytes()
-        for other in ({**self.KEY, "seed": 8}, {**self.KEY, "digest": "e"}):
-            assert load_anchor_set(tmp_path / "cache", other) is None
-        assert load_anchor_set(tmp_path / "empty", self.KEY) is None
+        other_ds = synth_blobs(30, 2, 2, [2, 3], seed=1)
+        # each miss is tried on its own copy, as a miss overwrites the entry
+        for i, (data, seed) in enumerate([(ds, 8), (other_ds, 9)]):
+            shutil.copytree(tmp_path / "cache", tmp_path / f"copy{i}")
+            assert not cached_anchors(data, 4, seed, tmp_path / f"copy{i}")[1]
+        assert not cached_anchors(ds, 4, 9, tmp_path / "empty")[1]
 
     @pytest.mark.parametrize("meta", ["{not json", '{"n": 30}', "[]"])
     def test_malformed_meta_raises_typed_error(self, tmp_path, meta):
         ds = synth_blobs(30, 2, 2, [2, 3], seed=0)
-        save_anchor_set(select_anchors(ds, m=4, seed=9), tmp_path / "cache", self.KEY)
+        cached_anchors(ds, 4, 9, tmp_path / "cache")
         (tmp_path / "cache" / "meta.json").write_text(meta)
         with pytest.raises(MalformedMeta):
-            load_anchor_set(tmp_path / "cache", self.KEY)
+            cached_anchors(ds, 4, 9, tmp_path / "cache")
 
     def test_missing_key_is_a_miss_and_missing_view_an_error(self, tmp_path):
         # the key read decides a miss, with no stat before it; under a key
         # that is present, a missing anchor file is a data error (exit 3)
         ds = synth_blobs(30, 2, 2, [2, 3], seed=0)
-        save_anchor_set(select_anchors(ds, m=4, seed=9), tmp_path / "cache", self.KEY)
+        cached_anchors(ds, 4, 9, tmp_path / "cache")
         (tmp_path / "cache" / "view1.f64").unlink()
         with pytest.raises(MissingFile):
-            load_anchor_set(tmp_path / "cache", self.KEY)
+            cached_anchors(ds, 4, 9, tmp_path / "cache")
         (tmp_path / "cache" / ANCHOR_KEY_FILE).unlink()
-        assert load_anchor_set(tmp_path / "cache", self.KEY) is None
+        assert not cached_anchors(ds, 4, 9, tmp_path / "cache")[1]
 
     def test_graph_set_shape_check(self):
         with pytest.raises(Exception):

@@ -392,7 +392,8 @@ class TestFitCommand:
 
     def test_old_graph_csv_entry_is_a_miss(self, blob_dir, tmp_path):
         fresh = tmp_path / "fresh"
-        main(fit_args(blob_dir, fresh))
+        main(fit_args(blob_dir, fresh) + ["--cache-graphs"])
+        key = json.loads((fresh / "graphs" / cli.ANCHOR_KEY_FILE).read_text())
         # an entry of the earlier format: graph CSVs, meta.json and a
         # sidecar keyed on m, k, seed and digest, with no anchor key file
         ds = dataset_mod.load_dataset(blob_dir)
@@ -406,8 +407,7 @@ class TestFitCommand:
                           "dims": graphs.m, "format": "csv"})
         (entry / "meta.json").write_text(json.dumps({"n": ds.n, "views": views}))
         (entry / "anchor_graphs.json").write_text(json.dumps(
-            {"m": 10, "k": 3, "seed": 0,
-             "digest": anchors_mod.dataset_digest(ds, False)}))
+            {"m": 10, "k": 3, "seed": 0, "digest": key["digest"]}))
         out = tmp_path / "run"
         main(fit_args(blob_dir, out) + ["--cache-graphs"])
         assert read_results(out)["graphs_cached"] is False
@@ -419,7 +419,7 @@ class TestFitCommand:
     def test_unparseable_cache_key_exits_3(self, blob_dir, tmp_path, capsys):
         out = tmp_path / "run"
         main(fit_args(blob_dir, out) + ["--cache-graphs"])
-        key_path = out / "graphs" / anchors_mod.ANCHOR_KEY_FILE
+        key_path = out / "graphs" / cli.ANCHOR_KEY_FILE
         key_path.write_text("{not json")
         capsys.readouterr()
         assert main(fit_args(blob_dir, out) + ["--cache-graphs"]) == 3
@@ -1200,6 +1200,19 @@ def test_no_existence_precheck():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr in ("is_file", "exists", "is_dir")
         ]
+    assert calls == []
+
+
+def test_anchors_do_no_file_io():
+    # the anchor cache of --cache-graphs is cli.cached_anchors; the module
+    # that selects anchors and builds graphs neither reads nor writes files
+    tree = ast.parse((Path(cli.__file__).parent / "anchors.py").read_text(encoding="utf-8"))
+    io_calls = ("open", "io_errors", "read_json", "load_dataset", "save_dataset")
+    calls = [
+        f"anchors.py:{node.lineno}" for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in io_calls
+    ]
     assert calls == []
 
 

@@ -20,15 +20,8 @@ from .dataset import (
     synth_blobs,
     zscore,
 )
-from .graph_tools import FullGraph, reconstruct_full_graph, reconstruct_top_k
-from .metrics import (
-    accuracy,
-    ari,
-    evaluate_all,
-    nmi,
-    pairwise_f_precision,
-    purity,
-)
+from .graph_tools import reconstruct_full_graph, reconstruct_top_k
+from .metrics import evaluate_all
 from .solver import (
     ClusteringResult,
     SolverConfig,
@@ -43,21 +36,15 @@ __all__ = [
     "AnchorGraphSet",
     "AnchorSet",
     "ClusteringResult",
-    "FullGraph",
     "MultiViewDataset",
     "SolverConfig",
     "SolverState",
-    "accuracy",
-    "ari",
     "build_all",
     "build_anchor_graph",
     "evaluate_all",
     "fit",
     "labels_from_F",
     "load_dataset",
-    "nmi",
-    "pairwise_f_precision",
-    "purity",
     "reconstruct_full_graph",
     "reconstruct_top_k",
     "save_dataset",

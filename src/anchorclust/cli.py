@@ -363,7 +363,7 @@ def cmd_reconstruct_graph(args) -> int:
                 for i, j, v in zip(coo.row, coo.col, coo.data):
                     writer.writerow([int(i), int(j), repr(float(v))])
         else:
-            B = graph_tools.reconstruct_full_graph(S).B
+            B = graph_tools.reconstruct_full_graph(S)
             if args.format == "f64le":
                 B.astype("<f8").tofile(out)
             else:

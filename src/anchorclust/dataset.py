@@ -12,9 +12,10 @@ A dataset directory holds one ``meta.json`` plus the files it declares::
                  row count inferred from meta.
     labels file  one integer per line, n lines.
 
-Loaded matrices are float64 and marked read-only; labels are remapped to
-contiguous 0-based integers in first-occurrence order, since downstream
-metrics only depend on the partition.
+Loaded matrices are float64; labels are remapped to contiguous 0-based
+integers in first-occurrence order, since downstream metrics only depend
+on the partition. A dataset's views and labels are read-only views, so an
+array it shares with its caller stays writeable for the caller.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class MultiViewDataset:
     def __post_init__(self):
         if not self.views:
             raise InvalidParameter("dataset needs at least one view")
-        views = [np.ascontiguousarray(v, dtype=np.float64) for v in self.views]
+        # views, so freezing them below leaves the caller's arrays writeable
+        views = [np.ascontiguousarray(v, dtype=np.float64).view() for v in self.views]
         names = list(self.view_names) or [f"view{i}" for i in range(len(views))]
         if len(names) != len(views):
             raise InvalidParameter(
@@ -75,7 +77,7 @@ class MultiViewDataset:
             X.flags.writeable = False
         labels = self.labels
         if labels is not None:
-            labels = np.ascontiguousarray(labels, dtype=np.int64)
+            labels = np.ascontiguousarray(labels, dtype=np.int64).view()
             if labels.ndim != 1 or labels.shape[0] != n:
                 raise ShapeMismatch(
                     f"labels: length {labels.shape}, expected ({n},)"

@@ -9,7 +9,6 @@ symmetric, non-negative, and row-stochastic whenever S is.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,12 +17,6 @@ from .errors import AllZeroGraph, InvalidParameter, NonFiniteValue
 
 DENSE_N_CAP = 20000
 TOP_K_BLOCK_ROWS = 2048  # rows of B formed at a time by reconstruct_top_k
-
-
-@dataclass(frozen=True)
-class FullGraph:
-    B: np.ndarray
-    D: np.ndarray
 
 
 def _check_graph(S: np.ndarray) -> np.ndarray:
@@ -38,8 +31,8 @@ def _check_graph(S: np.ndarray) -> np.ndarray:
 
 
 def _drop_zero_columns(S: np.ndarray):
-    """(D, Sk, Sk / D_k): the column sums of S, S without its all-zero
-    anchor columns (dropping any warns), and Sk over its column sums."""
+    """(Sk, Sk / D_k): S without its all-zero anchor columns (dropping any
+    warns), and Sk over its column sums."""
     D = S.sum(axis=0)
     keep = D > 0
     if not keep.any():
@@ -48,10 +41,10 @@ def _drop_zero_columns(S: np.ndarray):
         warnings.warn(f"dropped {int((~keep).sum())} all-zero anchor column(s)",
                       stacklevel=3)
     Sk = S[:, keep]
-    return D, Sk, Sk / D[keep]
+    return Sk, Sk / D[keep]
 
 
-def reconstruct_full_graph(S: np.ndarray) -> FullGraph:
+def reconstruct_full_graph(S: np.ndarray) -> np.ndarray:
     """Dense B = S D^-1 S^T. Zero anchor columns carry no mass and are
     dropped with a warning; n is capped because B is O(n^2) by nature."""
     S = _check_graph(S)
@@ -61,8 +54,8 @@ def reconstruct_full_graph(S: np.ndarray) -> FullGraph:
             f"n={n} exceeds the dense cap {DENSE_N_CAP}; use the top-k "
             "sparsified reconstruction instead"
         )
-    D, Sk, SD = _drop_zero_columns(S)
-    return FullGraph(B=SD @ Sk.T, D=D)
+    Sk, SD = _drop_zero_columns(S)
+    return SD @ Sk.T
 
 
 def reconstruct_top_k(S: np.ndarray, top_k: int) -> sp.csr_matrix:
@@ -73,7 +66,7 @@ def reconstruct_top_k(S: np.ndarray, top_k: int) -> sp.csr_matrix:
     if top_k < 1:
         raise InvalidParameter(f"top_k must be >= 1, got {top_k}")
     n = S.shape[0]
-    _, Sk, SD = _drop_zero_columns(S)
+    Sk, SD = _drop_zero_columns(S)
     top_k = min(top_k, n)
 
     rows, cols, vals = [], [], []

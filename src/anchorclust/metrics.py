@@ -1,11 +1,9 @@
 """External clustering metrics: ACC, NMI, Purity, ARI, pairwise F-score
-and Precision. All are computed from one contingency table and are
-invariant under relabeling of either partition. Each metric is a function
-of the table; evaluate_all builds the table once for all six."""
+and Precision, all invariant under relabeling of either partition.
+evaluate_all is the one scoring entry point: it builds the contingency
+table once and reads all six scores from it."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,15 +11,9 @@ from .assignment import min_cost_assignment
 from .errors import LengthMismatch
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """counts[i, j] = number of samples in predicted cluster i and true class j."""
-
-    counts: np.ndarray
-    n: int
-
-
-def contingency(pred, truth) -> ContingencyTable:
+def contingency(pred, truth) -> np.ndarray:
+    """int64 counts[i, j] = number of samples in predicted cluster i and
+    true class j."""
     pred = np.asarray(pred).ravel()
     truth = np.asarray(truth).ravel()
     if pred.size != truth.size:
@@ -35,18 +27,17 @@ def contingency(pred, truth) -> ContingencyTable:
     cp, ct = pi.max() + 1, ti.max() + 1
     counts = np.zeros((cp, ct), dtype=np.int64)
     np.add.at(counts, (pi, ti), 1)
-    return ContingencyTable(counts=counts, n=pred.size)
+    return counts
 
 
-def _accuracy(ct: ContingencyTable) -> float:
-    counts = ct.counts if ct.counts.shape[0] <= ct.counts.shape[1] else ct.counts.T
+def _accuracy(counts: np.ndarray, n: int) -> float:
+    counts = counts if counts.shape[0] <= counts.shape[1] else counts.T
     cols = min_cost_assignment(-counts)
-    return int(counts[np.arange(counts.shape[0]), cols].sum()) / ct.n
+    return int(counts[np.arange(counts.shape[0]), cols].sum()) / n
 
 
-def _nmi(ct: ContingencyTable) -> float:
-    n = ct.n
-    pred_sizes, true_sizes = ct.counts.sum(axis=1), ct.counts.sum(axis=0)
+def _nmi(counts: np.ndarray, n: int) -> float:
+    pred_sizes, true_sizes = counts.sum(axis=1), counts.sum(axis=0)
     p_pred = pred_sizes / n
     p_true = true_sizes / n
     h_pred = -np.sum(p_pred * np.log(p_pred))
@@ -55,21 +46,21 @@ def _nmi(ct: ContingencyTable) -> float:
         return 1.0
     if h_pred == 0.0 or h_true == 0.0:
         return 0.0
-    nz = ct.counts > 0
-    nij = ct.counts[nz].astype(np.float64)
+    nz = counts > 0
+    nij = counts[nz].astype(np.float64)
     outer = np.outer(pred_sizes, true_sizes)[nz].astype(np.float64)
     mi = float(np.sum((nij / n) * np.log(n * nij / outer)))
     return float(min(max(mi / np.sqrt(h_pred * h_true), 0.0), 1.0))
 
 
-def _purity(ct: ContingencyTable) -> float:
-    return int(ct.counts.max(axis=1).sum()) / ct.n
+def _purity(counts: np.ndarray, n: int) -> float:
+    return int(counts.max(axis=1).sum()) / n
 
 
-def pair_counts(ct: ContingencyTable) -> tuple[int, int, int, int]:
+def pair_counts(counts: np.ndarray, n: int) -> tuple[int, int, int, int]:
     """(TP, pairs co-clustered in pred, pairs co-clustered in truth, all
     pairs): sums of x choose 2, exact in int64 for n below 3e9."""
-    sizes = (ct.counts, ct.counts.sum(axis=1), ct.counts.sum(axis=0), ct.n)
+    sizes = (counts, counts.sum(axis=1), counts.sum(axis=0), n)
     return tuple(int(np.sum(x * (x - 1) // 2)) for x in sizes)
 
 
@@ -89,44 +80,28 @@ def _f_precision(tp: int, pred_pairs: int, true_pairs: int, _) -> tuple[float, f
     return f, precision
 
 
-def accuracy(pred, truth) -> float:
-    """Best cluster-to-class matching rate, via the minimum-cost assignment
-    (assignment.min_cost_assignment) on the negated contingency table,
-    with its smaller side as rows."""
-    return _accuracy(contingency(pred, truth))
-
-
-def nmi(pred, truth) -> float:
-    """Mutual information normalized by sqrt(H(pred) * H(truth)), natural
-    logs. Both entropies zero means both partitions are the trivial single
-    cluster, which are identical, so the score is 1."""
-    return _nmi(contingency(pred, truth))
-
-
-def purity(pred, truth) -> float:
-    """Fraction of samples in the majority class of their predicted cluster."""
-    return _purity(contingency(pred, truth))
-
-
-def ari(pred, truth) -> float:
-    """Adjusted Rand index from contingency-table pair counts."""
-    return _ari(*pair_counts(contingency(pred, truth)))
-
-
-def pairwise_f_precision(pred, truth) -> tuple[float, float]:
-    """(F-score, precision) over unordered sample pairs; 0/0 counts as 0."""
-    return _f_precision(*pair_counts(contingency(pred, truth)))
-
-
 def evaluate_all(pred, truth) -> dict[str, float]:
-    """The six standard metrics as one dict (insertion order fixed)."""
-    ct = contingency(pred, truth)
-    pairs = pair_counts(ct)
+    """The six standard metrics as one dict, in this order:
+
+    acc        best cluster-to-class matching rate, via the minimum-cost
+               assignment (assignment.min_cost_assignment) on the negated
+               contingency table, with its smaller side as rows
+    nmi        mutual information over sqrt(H(pred) * H(truth)), natural
+               logs; 1 when both are the trivial single cluster (identical)
+    purity     fraction of samples in the majority class of their
+               predicted cluster
+    ari        adjusted Rand index from the table's pair counts
+    f_score,   F-score and precision over unordered sample pairs; 0/0
+    precision  counts as 0
+    """
+    counts = contingency(pred, truth)
+    n = int(counts.sum())
+    pairs = pair_counts(counts, n)
     f, prec = _f_precision(*pairs)
     return {
-        "acc": _accuracy(ct),
-        "nmi": _nmi(ct),
-        "purity": _purity(ct),
+        "acc": _accuracy(counts, n),
+        "nmi": _nmi(counts, n),
+        "purity": _purity(counts, n),
         "ari": _ari(*pairs),
         "f_score": f,
         "precision": prec,

@@ -147,16 +147,13 @@ class FactoredZ:
         Q = graphs.Q
         B = graphs.each_t_times(F) if SvtF is None else SvtF  # S_v^T F
         FtF = F.T @ F
-        SvtM = np.einsum("vuij,u->vij", graphs.C, alpha)  # S_v^T M, gamma = 0
-        MtF = np.tensordot(alpha, B, axes=1)              # M^T F, gamma = 0
-        if gamma != 0.0:
-            SvtM = (SvtM + gamma * (B @ G.T)) / (1.0 + gamma)
-            MtF = (MtF + gamma * (G @ FtF)) / (1.0 + gamma)
+        SvtM = np.einsum("vuij,u->vij", graphs.C, alpha)  # S_v^T S_a
+        SvtM = (SvtM + gamma * (B @ G.T)) / (1.0 + gamma)  # S_v^T M
+        MtF = np.tensordot(alpha, B, axes=1)              # S_a^T F
+        MtF = (MtF + gamma * (G @ FtF)) / (1.0 + gamma)   # M^T F
         # M^T M = M^T (S_a + gamma F G^T) / (1 + gamma)
         gram = np.tensordot(alpha, SvtM, axes=1).T
-        if gamma != 0.0:
-            gram = (gram + gamma * (MtF @ G.T)) / (1.0 + gamma)
-        self.gram = gram
+        self.gram = gram = (gram + gamma * (MtF @ G.T)) / (1.0 + gamma)
         GtB = np.einsum("vic,ic->v", B, G)                # <S_v, F G^T>
         self.D_views = GtB - Q @ alpha
         self.D_sq = float(np.sum(FtF * (G.T @ G)) - alpha @ GtB - alpha @ self.D_views)
@@ -196,23 +193,19 @@ class FactoredZ:
         if self.P is not None:
             X = self.P @ X
         out = self.graphs.mix_times(self.alpha, X)
-        if self.gamma != 0.0:
-            out = (out + self.gamma * (self.F @ (self.G.T @ X))) / (1.0 + self.gamma)
-        return out
+        return (out + self.gamma * (self.F @ (self.G.T @ X))) / (1.0 + self.gamma)
 
     def t_times(self, Y: np.ndarray, SvtY: np.ndarray) -> np.ndarray:
         """Z^T Y, given the V products S_v^T Y as a V x m x c array."""
         MtY = np.tensordot(self.alpha, SvtY, axes=1)
-        if self.gamma != 0.0:
-            MtY = (MtY + self.gamma * (self.G @ (self.F.T @ Y))) / (1.0 + self.gamma)
+        MtY = (MtY + self.gamma * (self.G @ (self.F.T @ Y))) / (1.0 + self.gamma)
         return MtY if self.P is None else self.P @ MtY
 
     def dense(self) -> np.ndarray:
         """The n x m matrix, by the arithmetic of the dense SVT in
         tests/oracles.py, so tau = 0 gives M bitwise."""
         M = self.graphs.mixture(self.alpha)
-        if self.gamma != 0.0:
-            M = (M + self.gamma * (self.F @ self.G.T)) / (1.0 + self.gamma)
+        M = (M + self.gamma * (self.F @ self.G.T)) / (1.0 + self.gamma)
         if self.P is None:
             return M
         if not self.sigma.size:

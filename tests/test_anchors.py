@@ -37,7 +37,7 @@ from anchorclust.errors import (
     MissingFile,
     ShapeMismatch,
 )
-from anchorclust.metrics import nmi
+from anchorclust.metrics import evaluate_all
 from anchorclust.solver import SolverConfig, fit
 
 
@@ -422,7 +422,7 @@ class TestAlignment:
                          seed=seed)
         gs = build_all(ds, select_anchors(ds, m=40), k=5)
         result = fit(gs, SolverConfig(c=8, max_iters=300))
-        assert nmi(result.labels, ds.labels) >= 0.88
+        assert evaluate_all(result.labels, ds.labels)["nmi"] >= 0.88
 
 
 class TestScaling:

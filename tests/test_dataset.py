@@ -282,6 +282,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             ds.views[0][0, 0] = 5.0
 
+    def test_caller_arrays_stay_writeable(self):
+        # arrays that need no conversion are shared, not copied, and only
+        # the dataset's own views of them are frozen
+        X = np.ones((3, 2))
+        y = np.array([0, 1, 1], dtype=np.int64)
+        ds = MultiViewDataset(views=[X], labels=y)
+        assert np.shares_memory(ds.views[0], X)
+        assert np.shares_memory(ds.labels, y)
+        assert not ds.views[0].flags.writeable
+        assert not ds.labels.flags.writeable
+        X[0, 0] = 5.0
+        y[0] = 1
+        assert X.flags.writeable and y.flags.writeable
+
 
 class TestSynthBlobs:
     def test_same_seed_identical(self):

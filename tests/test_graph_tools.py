@@ -24,12 +24,11 @@ def test_one_hot_rows_give_uniform_blocks(monkeypatch):
     S[[0, 1], 0] = 1.0
     S[[2, 3, 4], 2] = 1.0
     with pytest.warns(UserWarning, match="all-zero anchor column"):
-        full = reconstruct_full_graph(S)
+        B = reconstruct_full_graph(S)
     expected = np.zeros((5, 5))
     expected[:2, :2] = 1.0 / 2.0
     expected[2:, 2:] = 1.0 / 3.0
-    assert np.allclose(full.B, expected, atol=1e-15)
-    assert np.array_equal(full.D, [2.0, 0.0, 3.0])
+    assert np.allclose(B, expected, atol=1e-15)
     monkeypatch.setattr(graph_tools, "TOP_K_BLOCK_ROWS", 2)
     with pytest.warns(UserWarning, match="dropped 1 all-zero anchor column"):
         top = reconstruct_top_k(S, top_k=5)
@@ -39,15 +38,15 @@ def test_one_hot_rows_give_uniform_blocks(monkeypatch):
 def test_matches_naive_triple_loop():
     for seed in range(5):
         S = random_stochastic(6, 4, seed)
-        full = reconstruct_full_graph(S)
-        assert np.max(np.abs(full.B - naive_reconstruction(S))) < 1e-12
+        B = reconstruct_full_graph(S)
+        assert np.max(np.abs(B - naive_reconstruction(S))) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 20), st.integers(2, 6))
 def test_row_stochastic_symmetric_property(seed, n, m):
     S = random_stochastic(n, m, seed)
-    B = reconstruct_full_graph(S).B
+    B = reconstruct_full_graph(S)
     assert np.max(np.abs(B.sum(axis=1) - 1.0)) < 1e-8
     assert np.max(np.abs(B - B.T)) < 1e-10
     assert np.all(B >= 0)
@@ -76,7 +75,7 @@ def test_dense_cap_enforced(monkeypatch):
 def test_top_k_matches_dense(monkeypatch):
     monkeypatch.setattr(graph_tools, "TOP_K_BLOCK_ROWS", 5)
     S = random_stochastic(12, 4, seed=1)
-    dense = reconstruct_full_graph(S).B
+    dense = reconstruct_full_graph(S)
     sparse = reconstruct_top_k(S, top_k=3).toarray()
     for i in range(12):
         top = np.sort(np.argsort(dense[i])[-3:])

@@ -23,7 +23,7 @@ from anchorclust import solver
 from anchorclust.anchors import AnchorGraphSet, build_all, select_anchors
 from anchorclust.dataset import synth_blobs
 from anchorclust.errors import InvalidParameter, NumericalBreakdown, RankDeficientWarning
-from anchorclust.metrics import accuracy
+from anchorclust.metrics import evaluate_all
 from anchorclust.solver import (
     SolverConfig,
     fit,
@@ -470,7 +470,7 @@ class TestFit:
         gs = build_all(ds, select_anchors(ds, m=10, seed=0), k=3)
         res = fit(gs, SolverConfig(c=3, beta=0.2, gamma=0.1, seed=0))
         assert res.converged
-        assert accuracy(res.labels, ds.labels) >= 0.95
+        assert evaluate_all(res.labels, ds.labels)["acc"] >= 0.95
 
     def test_non_finite_graphs_break(self):
         bad = np.full((5, 3), np.nan)

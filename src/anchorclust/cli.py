@@ -246,7 +246,7 @@ def cached_anchors(ds, m: int, seed: int,
     with io_errors(f"writing anchor cache {key_path}"):
         key_path.unlink(missing_ok=True)
         dataset_mod.save_dataset(entry, root, fmt="f64le")
-        key_path.write_text(json.dumps(key) + "\n", encoding="utf-8")
+        dataset_mod.write_json(key, key_path)
     return anchor_set, False
 
 
@@ -293,8 +293,7 @@ def solve_and_write(cfg: RunConfig, build: GraphBuild) -> dict:
     }
     out = Path(cfg.output_dir)
     with io_errors(f"writing {out}"):
-        with open(out / "labels.txt", "w", encoding="utf-8") as fh:
-            fh.writelines(f"{int(y)}\n" for y in result.labels)
+        dataset_mod.write_labels(result.labels, out / "labels.txt")
         with open(out / "convergence.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "objective"])
@@ -302,9 +301,7 @@ def solve_and_write(cfg: RunConfig, build: GraphBuild) -> dict:
                 writer.writerow([i, repr(obj)])
         if cfg.save_graph:
             dataset_mod.write_matrix_csv(result.state.Z, out / "consensus_graph.csv")
-        (out / "results.json").write_text(
-            json.dumps(record, indent=2) + "\n", encoding="utf-8"
-        )
+        dataset_mod.write_json(record, out / "results.json")
     return record
 
 
@@ -363,11 +360,9 @@ def cmd_reconstruct_graph(args) -> int:
                 for i, j, v in zip(coo.row, coo.col, coo.data):
                     writer.writerow([int(i), int(j), repr(float(v))])
         else:
-            B = graph_tools.reconstruct_full_graph(S)
-            if args.format == "f64le":
-                B.astype("<f8").tofile(out)
-            else:
-                dataset_mod.write_matrix_csv(B, out)
+            write = (dataset_mod.write_matrix_f64le if args.format == "f64le"
+                     else dataset_mod.write_matrix_csv)
+            write(graph_tools.reconstruct_full_graph(S), out)
     print(f"wrote {out}")
     return 0
 

@@ -16,6 +16,9 @@ Loaded matrices are float64; labels are remapped to contiguous 0-based
 integers in first-occurrence order, since downstream metrics only depend
 on the partition. A dataset's views and labels are read-only views, so an
 array it shares with its caller stays writeable for the caller.
+
+Each file format, JSON included, has its one reader and one writer here;
+a writer leaves naming a failed write to the caller's io_errors block.
 """
 
 from __future__ import annotations
@@ -94,10 +97,6 @@ class MultiViewDataset:
     @property
     def num_views(self) -> int:
         return len(self.views)
-
-    @property
-    def dims(self) -> list[int]:
-        return [v.shape[1] for v in self.views]
 
     @property
     def num_classes(self) -> int | None:
@@ -239,10 +238,8 @@ def load_dataset(root_path) -> MultiViewDataset:
                 f"{where}: format {fmt!r} not one of {VIEW_FORMATS}"
             )
         fpath = root / fname
-        if fmt == "csv":
-            X = _parse_csv_matrix(fpath, dims)
-        else:
-            X = _parse_f64le_matrix(fpath, n, dims)
+        X = (_parse_csv_matrix(fpath, dims) if fmt == "csv"
+             else _parse_f64le_matrix(fpath, n, dims))
         if X.shape[0] != n:
             raise ShapeMismatch(
                 f"{fpath}: {X.shape[0]} rows, meta declares n={n}"
@@ -282,29 +279,37 @@ def save_dataset(ds: MultiViewDataset, root_path, fmt: str = "csv") -> None:
     """Write a dataset directory such that load_dataset reproduces it exactly."""
     if fmt not in VIEW_FORMATS:
         raise InvalidParameter(f"format {fmt!r} not one of {VIEW_FORMATS}")
+    ext, write = ("csv", write_matrix_csv) if fmt == "csv" else ("f64", write_matrix_f64le)
     root = Path(root_path)
     with io_errors(f"writing dataset under {root}"):
         root.mkdir(parents=True, exist_ok=True)
         entries = []
         for i, (name, X) in enumerate(zip(ds.view_names, ds.views)):
-            ext = "csv" if fmt == "csv" else "f64"
-            fname = f"view{i}.{ext}"
-            fpath = root / fname
-            if fmt == "csv":
-                write_matrix_csv(X, fpath)
-            else:
-                X.astype("<f8").tofile(fpath)
-            entries.append(
-                {"name": name, "file": fname, "dims": X.shape[1], "format": fmt}
-            )
+            write(X, root / f"view{i}.{ext}")
+            entries.append({"name": name, "file": f"view{i}.{ext}",
+                            "dims": X.shape[1], "format": fmt})
         meta = {"n": ds.n, "views": entries}
         if ds.labels is not None:
             meta["labels"] = "labels.txt"
-            with open(root / "labels.txt", "w", encoding="utf-8") as fh:
-                fh.writelines(f"{int(y)}\n" for y in ds.labels)
-        (root / "meta.json").write_text(
-            json.dumps(meta, indent=2) + "\n", encoding="utf-8"
-        )
+            write_labels(ds.labels, root / "labels.txt")
+        write_json(meta, root / "meta.json")
+
+
+def write_labels(labels, path) -> None:
+    """Write one integer per line, as load_labels_file reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{int(y)}\n" for y in labels)
+
+
+def write_matrix_f64le(X, path) -> None:
+    """Write raw row-major little-endian float64, as _parse_f64le_matrix
+    reads; a little-endian float64 array is written without a copy."""
+    np.asarray(X, dtype="<f8").tofile(path)
+
+
+def write_json(obj, path) -> None:
+    """Write indented UTF-8 JSON, as read_json reads."""
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
 def write_matrix_csv(X: np.ndarray, path) -> None:

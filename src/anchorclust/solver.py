@@ -8,8 +8,8 @@ Given V row-stochastic anchor graphs S_v (n x m), the solver minimizes
 over the consensus graph Z (n x m), a non-negative soft indicator
 F (n x c), a column-orthonormal basis G (m x c), and simplex view
 weights alpha. Each block update is the exact minimizer of its
-subproblem, so the objective never rises; a single view skips the alpha
-step and keeps alpha = [1.0].
+subproblem, so the objective never rises. For a single view the alpha
+step returns alpha = [1.0].
 
     F      max(Z G, 0)                          (separable clamp)
     G      the maximizer of Tr(G^T Z^T F) nearest the last G   (Procrustes)
@@ -208,8 +208,6 @@ class FactoredZ:
         M = (M + self.gamma * (self.F @ self.G.T)) / (1.0 + self.gamma)
         if self.P is None:
             return M
-        if not self.sigma.size:
-            return np.zeros_like(M)
         U = (M @ self.Vk) / self.sigma
         return (U * (self.sigma - self.tau)) @ self.Vk.T
 
@@ -286,7 +284,8 @@ def update_alpha(graphs: AnchorGraphSet, Z: FactoredZ) -> np.ndarray:
 def _simplex_qp(Q: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Exact minimizer of a^T Q a - a^T q on the simplex, Q symmetric PSD,
     by a primal active-set method (Nocedal and Wright, Numerical
-    Optimization, ch. 16) started at the uniform weights.
+    Optimization, ch. 16) started at the uniform weights; V = 1 returns
+    [1.0] at once.
 
     A pass moves the free weights in the null space of sum p = 0, written
     p = N y with N = [I; -1^T], where the reduced Hessian N^T Q N has
@@ -380,9 +379,8 @@ def fit(graphs: AnchorGraphSet, config: SolverConfig) -> ClusteringResult:
     """Run the alternating scheme until the relative objective change
     drops below rel_tol or max_iters cycles elapse. Cycle 0 evaluates the
     objective at init_state's point; each later cycle runs the F, G, Z and
-    alpha steps, then the objective. A single view keeps alpha = [1.0] and
-    skips the alpha step. A LinAlgError or a non-finite objective in any
-    cycle raises NumericalBreakdown naming that cycle."""
+    alpha steps, then the objective. A LinAlgError or a non-finite
+    objective in any cycle raises NumericalBreakdown naming that cycle."""
     t0 = time.perf_counter()
     state = init_state(graphs, config)
     Z, history = state._Z, state.objective_history
@@ -396,8 +394,7 @@ def fit(graphs: AnchorGraphSet, config: SolverConfig) -> ClusteringResult:
                 state.G = update_G(Z, state.F, state.G, SvtF)
                 Z = state.Z = update_Z(graphs, state.alpha, state.F, state.G,
                                        beta, gamma, SvtF)
-                if graphs.num_views > 1:
-                    state.alpha = update_alpha(graphs, Z)
+                state.alpha = update_alpha(graphs, Z)
             history.append(_objective(Z, state.alpha, beta, gamma))
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown(f"linear algebra failed at cycle {cycle}: {exc}") from None

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from anchorclust.dataset import (
     remap_labels,
     save_dataset,
     synth_blobs,
+    write_json,
+    write_labels,
     write_matrix_csv,
+    write_matrix_f64le,
     zscore,
 )
 from anchorclust.errors import (
@@ -265,6 +269,21 @@ class TestSaveRoundTrip:
         meta = json.loads((tmp_path / "d" / "meta.json").read_text())
         assert [v["name"] for v in meta["views"]] == ["a", "b", "c"]
 
+    def test_f64le_view_written_without_a_copy(self, tmp_path):
+        # the view's own buffer is written: a converted copy would add 100%
+        # of the matrix to the peak
+        X = np.random.default_rng(0).standard_normal((2000, 400))
+        ds = MultiViewDataset(views=[X])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_dataset(ds, tmp_path / "d", fmt="f64le")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 0.01 * X.nbytes
+        assert np.array_equal(load_dataset(tmp_path / "d").views[0], X)
+
 
 class TestValidation:
     def test_needs_a_view(self):
@@ -369,6 +388,17 @@ class TestHelpers:
     def test_labels_file_round_trip(self, tmp_path):
         (tmp_path / "y.txt").write_text("5\n5\n2\n8\n")
         assert np.array_equal(load_labels_file(tmp_path / "y.txt"), [0, 0, 1, 2])
+
+    def test_writers_round_trip_through_their_readers(self, tmp_path):
+        write_labels(np.array([5, 5, -2, 8]), tmp_path / "y.txt")
+        assert (tmp_path / "y.txt").read_text() == "5\n5\n-2\n8\n"
+        assert np.array_equal(load_labels_file(tmp_path / "y.txt"), [0, 0, 1, 2])
+        X = np.random.default_rng(2).standard_normal((3, 4))
+        write_matrix_f64le(X.T, tmp_path / "x.f64")
+        assert np.array_equal(np.fromfile(tmp_path / "x.f64", dtype="<f8").reshape(4, 3), X.T)
+        obj = {"n": 3, "name": "vue \u00e9", "views": [1.5, None, True]}
+        write_json(obj, tmp_path / "o.json")
+        assert dataset_mod.read_json(tmp_path / "o.json", MalformedMeta) == obj
 
     def test_zscore(self):
         rng = np.random.default_rng(0)

@@ -637,6 +637,7 @@ class TestFactoredFit:
         result = fit(gs, cfg)
         assert_matches_dense_reference(result, gs, cfg)
         assert not result.state.Z.any()
+        assert not np.signbit(result.state.Z).any()
         assert not result.state.F.any()
 
     @pytest.mark.parametrize("beta, gamma", [(0.3, 0.1), (0.0, 0.1), (0.5, 0.0)])

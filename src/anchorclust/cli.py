@@ -174,32 +174,35 @@ def resolve_config(args: argparse.Namespace, sweep: bool = False) -> RunConfig:
         raise MalformedConfig("no dataset path given")
     if not cfg.output_dir:
         raise MalformedConfig("no output directory given")
-    if cfg.m is not None and cfg.m < 2 or cfg.k < 1:
-        raise InvalidParameter(f"need m >= 2 and k >= 1, got m={cfg.m}, k={cfg.k}")
-    if None not in (cfg.c, cfg.m) and cfg.c > cfg.m:
-        raise InvalidParameter(f"need c <= m, got c={cfg.c}, m={cfg.m}")
+    _resolve_sizes(cfg)
     _solver_config(cfg, 1 if cfg.c is None else cfg.c)  # checks the rest
     return cfg
 
 
-def _resolve_solver_params(cfg: RunConfig, ds) -> tuple[int, int, int]:
-    """Fill c from labels when absent, default m to c+20, clamp k to m-1;
-    refuse a c or an m above n, and a c above m."""
-    c = cfg.c
-    if c is None:
-        if ds.labels is None:
-            raise MalformedConfig(
-                "cluster count not set and the dataset has no labels; pass --c"
-            )
-        c = ds.num_classes
-    if c > ds.n:
-        raise InvalidParameter(f"need c <= n, got c={c}, n={ds.n}")
-    m = cfg.m if cfg.m is not None else min(c + 20, ds.n)
-    if m < 2 or m > ds.n:
-        raise InvalidParameter(f"need 2 <= m <= n, got m={m}, n={ds.n}")
-    if c > m:
+def _resolve_sizes(cfg: RunConfig, ds=None) -> tuple[int, int, int]:
+    """The run's (c, m, k). Without the dataset, refuse an m below 2 and a
+    k below 1; with it, take c from the labels and m = min(c + 20, n) when
+    unset, refuse a c or an m above n or an m below 2, and clamp k to m - 1.
+    Either way, refuse a c above m once both are known."""
+    c, m, k = cfg.c, cfg.m, cfg.k
+    if ds is None:
+        if m is not None and m < 2 or k < 1:
+            raise InvalidParameter(f"need m >= 2 and k >= 1, got m={m}, k={k}")
+    else:
+        if c is None:
+            if ds.labels is None:
+                raise MalformedConfig("cluster count not set and the dataset "
+                                      "has no labels; pass --c")
+            c = ds.num_classes
+        if c > ds.n:
+            raise InvalidParameter(f"need c <= n, got c={c}, n={ds.n}")
+        m = m if m is not None else min(c + 20, ds.n)
+        if m < 2 or m > ds.n:
+            raise InvalidParameter(f"need 2 <= m <= n, got m={m}, n={ds.n}")
+        k = min(k, m - 1)
+    if None not in (c, m) and c > m:
         raise InvalidParameter(f"need c <= m, got c={c}, m={m}")
-    return c, m, min(cfg.k, m - 1)
+    return c, m, k
 
 
 @dataclass
@@ -253,7 +256,7 @@ def cached_anchors(ds, m: int, seed: int,
 def build_graphs(cfg: RunConfig, ds, cache_dir: Path) -> GraphBuild:
     """Anchor graphs for cfg.m, from anchors that --cache-graphs keeps in
     cache_dir (cached_anchors) or from k-means on every call without it."""
-    c, m, k = _resolve_solver_params(cfg, ds)
+    c, m, k = _resolve_sizes(cfg, ds)
     t0 = time.perf_counter()
     if cfg.cache_graphs:
         anchor_set, cached = cached_anchors(ds, m, cfg.seed, cache_dir)
@@ -300,7 +303,7 @@ def solve_and_write(cfg: RunConfig, build: GraphBuild) -> dict:
             for i, obj in enumerate(result.state.objective_history):
                 writer.writerow([i, repr(obj)])
         if cfg.save_graph:
-            dataset_mod.write_matrix_csv(result.state.Z, out / "consensus_graph.csv")
+            dataset_mod.write_matrix_csv(result.state.Z.dense(), out / "consensus_graph.csv")
         dataset_mod.write_json(record, out / "results.json")
     return record
 
@@ -320,9 +323,7 @@ def run_fit(cfg: RunConfig, build: GraphBuild | None = None) -> dict:
 
 
 def cmd_fit(args) -> int:
-    cfg = resolve_config(args)
-    record = run_fit(cfg)
-    print(json.dumps(record, indent=2))
+    print(json.dumps(run_fit(resolve_config(args)), indent=2))
     return 0
 
 
@@ -539,13 +540,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def report_error(exc: AnchorClustError) -> int:
+    """Print the error's stderr line and return its exit status."""
+    print(f"{exc.label.format(type(exc).__name__)}: {exc}", file=sys.stderr)
+    return exc.exit_status
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, DataError, NumericalBreakdown) as exc:
-        print(f"{exc.label.format(type(exc).__name__)}: {exc}", file=sys.stderr)
-        return exc.exit_status
+        return report_error(exc)
 
 
 if __name__ == "__main__":

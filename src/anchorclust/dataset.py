@@ -100,9 +100,7 @@ class MultiViewDataset:
 
     @property
     def num_classes(self) -> int | None:
-        if self.labels is None:
-            return None
-        return int(self.labels.max()) + 1
+        return None if self.labels is None else int(self.labels.max()) + 1
 
 
 def remap_labels(raw: np.ndarray) -> np.ndarray:

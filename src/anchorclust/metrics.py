@@ -8,12 +8,15 @@ from __future__ import annotations
 import numpy as np
 
 from .assignment import min_cost_assignment
-from .errors import LengthMismatch
+from .errors import InvalidParameter, LengthMismatch
+
+CONTINGENCY_CELL_CAP = 1 << 24  # evaluate_all peaks near 3 int64 tables
 
 
 def contingency(pred, truth) -> np.ndarray:
     """int64 counts[i, j] = number of samples in predicted cluster i and
-    true class j."""
+    true class j. A table above CONTINGENCY_CELL_CAP cells raises
+    InvalidParameter before it is allocated."""
     pred = np.asarray(pred).ravel()
     truth = np.asarray(truth).ravel()
     if pred.size != truth.size:
@@ -25,6 +28,9 @@ def contingency(pred, truth) -> np.ndarray:
     _, pi = np.unique(pred, return_inverse=True)
     _, ti = np.unique(truth, return_inverse=True)
     cp, ct = pi.max() + 1, ti.max() + 1
+    if cp * ct > CONTINGENCY_CELL_CAP:
+        raise InvalidParameter(f"{cp} predicted x {ct} true labels exceed the "
+                               f"contingency table cap of {CONTINGENCY_CELL_CAP} cells")
     counts = np.zeros((cp, ct), dtype=np.int64)
     np.add.at(counts, (pi, ti), 1)
     return counts

@@ -38,16 +38,16 @@ C_uv = S_u^T S_v, which the AnchorGraphSet computes once when built:
 so a cycle costs O(n k V c + n c^2 + V^2 m^2 + V m^2 c + m^3), linear in
 n, and holds no n x m array. A cycle forms two sparse products: Z G in
 the F step, and S_v^T F in the G step, which hands it on to the Z step.
-SolverState.Z builds the dense Z only when it is read (--save-graph,
-objective(), tests). The dense references that the tests compare fit
-against live in tests/oracles.py.
+A fit's SolverState.Z is that FactoredZ, and only FactoredZ.dense()
+builds the n x m matrix (--save-graph, objective(), tests). The dense
+references that the tests compare fit against live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,27 +82,17 @@ class SolverConfig:
             raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
 
 
+@dataclass(eq=False)
 class SolverState:
-    """Solver iterates. Z may be held as a FactoredZ; reading state.Z then
-    builds the dense n x m matrix (O(n m^2)) once and keeps it."""
+    """Solver iterates. Z is a FactoredZ in fit and init_state, or a dense
+    array in a dense reference loop."""
 
-    def __init__(self, Z, F, G, alpha, objective_history=None, iters_run=0):
-        self.Z = Z
-        self.F = F
-        self.G = G
-        self.alpha = alpha
-        self.objective_history = [] if objective_history is None else objective_history
-        self.iters_run = iters_run
-
-    @property
-    def Z(self) -> np.ndarray:
-        if isinstance(self._Z, FactoredZ):
-            self._Z = self._Z.dense()
-        return self._Z
-
-    @Z.setter
-    def Z(self, value) -> None:
-        self._Z = value
+    Z: FactoredZ | np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+    alpha: np.ndarray
+    objective_history: list = field(default_factory=list)
+    iters_run: int = 0
 
 
 @dataclass(frozen=True)
@@ -341,16 +331,15 @@ def _simplex_qp(Q: np.ndarray, q: np.ndarray) -> np.ndarray:
     raise NumericalBreakdown(f"the view-weight active set cycled (V={V})")
 
 
-def nuclear_norm(Z: np.ndarray) -> float:
-    return float(np.linalg.svd(Z, compute_uv=False).sum())
-
-
 def objective(state: SolverState, graphs: AnchorGraphSet, config: SolverConfig) -> float:
-    """Value of the full objective at the given state, from the dense Z."""
+    """Value of the full objective at the given state, from the dense Z;
+    a FactoredZ is densified first."""
     Z, F, G = state.Z, state.F, state.G
+    Z = Z.dense() if isinstance(Z, FactoredZ) else Z
     fit_term = float(np.sum((Z - graphs.mixture(state.alpha)) ** 2))
     factor_term = float(np.sum((Z - F @ G.T) ** 2))
-    return fit_term + config.beta * nuclear_norm(Z) + config.gamma * factor_term
+    nuclear = float(np.linalg.svd(Z, compute_uv=False).sum())
+    return fit_term + config.beta * nuclear + config.gamma * factor_term
 
 
 def _objective(Z: FactoredZ, alpha: np.ndarray, beta: float, gamma: float) -> float:
@@ -383,19 +372,19 @@ def fit(graphs: AnchorGraphSet, config: SolverConfig) -> ClusteringResult:
     objective in any cycle raises NumericalBreakdown naming that cycle."""
     t0 = time.perf_counter()
     state = init_state(graphs, config)
-    Z, history = state._Z, state.objective_history
+    history = state.objective_history
     beta, gamma = config.beta, config.gamma
     converged = False
     for cycle in range(config.max_iters + 1):
         try:
             if cycle:
-                state.F = update_F(Z, state.G)
+                state.F = update_F(state.Z, state.G)
                 SvtF = np.empty((graphs.num_views, graphs.m, config.c))
-                state.G = update_G(Z, state.F, state.G, SvtF)
-                Z = state.Z = update_Z(graphs, state.alpha, state.F, state.G,
-                                       beta, gamma, SvtF)
-                state.alpha = update_alpha(graphs, Z)
-            history.append(_objective(Z, state.alpha, beta, gamma))
+                state.G = update_G(state.Z, state.F, state.G, SvtF)
+                state.Z = update_Z(graphs, state.alpha, state.F, state.G,
+                                   beta, gamma, SvtF)
+                state.alpha = update_alpha(graphs, state.Z)
+            history.append(_objective(state.Z, state.alpha, beta, gamma))
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown(f"linear algebra failed at cycle {cycle}: {exc}") from None
         if not np.isfinite(history[-1]):

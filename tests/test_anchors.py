@@ -299,6 +299,24 @@ class TestGraphSetStorage:
 
 
 class TestBuildAll:
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda X: AnchorSet(anchors=[X[:2]], m=0, kmeans_iters_used=0),
+         InvalidParameter, "m must be >= 1, got 0"),
+        (lambda X: AnchorSet(anchors=[X[:2], X[:3]], m=2, kmeans_iters_used=0),
+         ShapeMismatch, "anchor matrix 1 has 3 rows, expected m=2"),
+        (lambda X: AnchorSet(anchors=[X[:2], X[:2] * np.nan], m=2, kmeans_iters_used=0),
+         InvalidParameter, "anchor matrix 1 has non-finite rows"),
+        (lambda X: AnchorGraphSet(graphs=[], k=0), InvalidParameter,
+         "graph set needs at least one graph"),
+        (lambda X: build_all(MultiViewDataset(views=[X, X]),
+                             AnchorSet(anchors=[X[:2]], m=2, kmeans_iters_used=0), k=1),
+         ShapeMismatch, "1 anchor matrices for 2 views"),
+    ])
+    def test_inconsistent_inputs_refused(self, make, error, message):
+        X = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(error, match=message):
+            make(X)
+
     def test_single_view_matches_direct_call(self):
         # one view is never permuted: the set is byte-identical
         ds = synth_blobs(50, 2, 1, [3], seed=0)

@@ -555,6 +555,17 @@ class TestFitCommand:
         assert "config error [InvalidParameter]" in capsys.readouterr().err
         assert loads == []
 
+    @pytest.mark.parametrize("dataset, output, message", [
+        ("", "o", "no dataset path given"),
+        ("blobs", "", "no output directory given"),
+    ])
+    def test_empty_path_exits_2(self, blob_dir, tmp_path, capsys, dataset, output, message):
+        dataset = dataset and str(blob_dir)
+        output = output and str(tmp_path / output)
+        assert main(["fit", dataset, "--output", output]) == 2
+        assert capsys.readouterr().err == f"config error [MalformedConfig]: {message}\n"
+        assert list(tmp_path.iterdir()) == [blob_dir]
+
     @pytest.mark.parametrize("setting, message", [
         ("--c=61", "need c <= n, got c=61, n=60"),
         ("--m=61", "need 2 <= m <= n, got m=61, n=60"),
@@ -631,6 +642,16 @@ class TestEvaluateCommand:
         (tmp_path / "truth.txt").write_text("0\n1\n")
         assert main(["evaluate", str(tmp_path / "truth.txt"),
                      str(tmp_path / "gone.txt")]) == 3
+
+    def test_table_above_the_cap_exits_2(self, tmp_path, capsys):
+        ids = "".join(f"{i}\n" for i in range(20000))
+        (tmp_path / "truth.txt").write_text(ids)
+        (tmp_path / "pred.txt").write_text(ids)
+        assert main(["evaluate", str(tmp_path / "truth.txt"),
+                     str(tmp_path / "pred.txt")]) == 2
+        assert capsys.readouterr().err == (
+            "config error [InvalidParameter]: 20000 predicted x 20000 true labels "
+            "exceed the contingency table cap of 16777216 cells\n")
 
     def test_length_mismatch_exits_3(self, tmp_path):
         (tmp_path / "a.txt").write_text("0\n1\n")

@@ -88,6 +88,14 @@ class TestLoad:
         with pytest.raises(MalformedMeta):
             load_dataset(root)
 
+    @pytest.mark.parametrize("value, kind", [("3", "str"), (True, "bool")])
+    def test_meta_key_of_wrong_type(self, tmp_path, value, kind):
+        root = tmp_path / "d"
+        root.mkdir()
+        (root / "meta.json").write_text(json.dumps({"n": value, "views": []}))
+        with pytest.raises(MalformedMeta, match=f"key 'n' should be int, got {kind}"):
+            load_dataset(root)
+
     def test_meta_missing_key(self, tmp_path):
         root = tmp_path / "d"
         root.mkdir()
@@ -253,6 +261,12 @@ class TestSaveRoundTrip:
         assert np.array_equal(remap_labels(ds.labels), back.labels)
         assert back.view_names == ds.view_names
 
+    def test_unknown_format_refused(self, tmp_path):
+        ds = MultiViewDataset(views=[np.ones((2, 2))])
+        with pytest.raises(InvalidParameter, match="format 'npy' not one of"):
+            save_dataset(ds, tmp_path / "d", fmt="npy")
+        assert not (tmp_path / "d").exists()
+
     def test_meta_layout_single_view_no_labels(self, tmp_path):
         ds = MultiViewDataset(views=[np.ones((2, 2))])
         save_dataset(ds, tmp_path / "d")
@@ -289,6 +303,26 @@ class TestValidation:
     def test_needs_a_view(self):
         with pytest.raises(InvalidParameter):
             MultiViewDataset(views=[])
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        (dict(views=[np.ones((3, 2))], view_names=["a", "b"]), InvalidParameter,
+         "2 view names for 1 views"),
+        (dict(views=[np.ones(3)]), ShapeMismatch,
+         r"view 'view0' \(index 0\): expected a 2-d matrix .* got shape \(3,\)"),
+        (dict(views=[np.ones((3, 0))]), ShapeMismatch, r"got shape \(3, 0\)"),
+        (dict(views=[np.ones((3, 2)), np.ones((4, 2))], view_names=["a", "b"]),
+         ShapeMismatch, r"view 'b' \(index 1\): 4 rows, expected 3 \(row count of view 'a'\)"),
+        (dict(views=[np.ones((3, 2))], labels=[0, 1]), ShapeMismatch,
+         r"labels: length \(2,\), expected \(3,\)"),
+        (dict(views=[np.ones((3, 2))], labels=np.zeros((3, 1))), ShapeMismatch,
+         r"labels: length \(3, 1\), expected \(3,\)"),
+    ])
+    def test_inconsistent_parts_refused(self, kwargs, error, message):
+        with pytest.raises(error, match=message):
+            MultiViewDataset(**kwargs)
+
+    def test_unlabeled_has_no_class_count(self):
+        assert MultiViewDataset(views=[np.ones((2, 2))]).num_classes is None
 
     def test_non_finite_located(self):
         X = np.ones((3, 2))
@@ -356,6 +390,7 @@ class TestSynthBlobs:
             dict(n=5, c=2, V=2, dims=[2]),
             dict(n=5, c=2, V=1, dims=[2], separation=0.0),
             dict(n=5, c=2, V=1, dims=[2], noise=-1.0),
+            dict(n=5, c=2, V=2, dims=[2, 0]),
         ],
     )
     def test_invalid_parameters(self, kwargs):

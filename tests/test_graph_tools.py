@@ -58,6 +58,12 @@ def test_all_zero_graph_rejected():
         reconstruct_full_graph(np.zeros((4, 3)))
 
 
+@pytest.mark.parametrize("shape", [(6,), (2, 3, 4)])
+def test_graph_must_be_2d(shape):
+    with pytest.raises(InvalidParameter, match="expected a 2-d anchor graph, got shape"):
+        reconstruct_full_graph(np.ones(shape))
+
+
 def test_negative_entries_rejected():
     S = np.ones((3, 2))
     S[0, 0] = -0.5

@@ -10,7 +10,8 @@ from oracles import (
     pair_counts_by_enumeration,
 )
 
-from anchorclust.errors import LengthMismatch
+from anchorclust import metrics
+from anchorclust.errors import InvalidParameter, LengthMismatch
 from anchorclust.metrics import contingency, evaluate_all, pair_counts
 
 
@@ -57,6 +58,27 @@ class TestAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             evaluate_all([0, 1], [0, 1, 2])
+
+    def test_empty_labels(self):
+        with pytest.raises(LengthMismatch, match="empty label vectors"):
+            evaluate_all([], [])
+
+    def test_table_above_the_cap_refused_before_allocation(self):
+        # 20000 distinct ids a side would need a 2.98 GiB table
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameter, match="20000 predicted x 20000 true"):
+                evaluate_all(np.arange(20000), np.arange(20000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_cap_counts_cells(self, monkeypatch):
+        monkeypatch.setattr(metrics, "CONTINGENCY_CELL_CAP", 12)
+        assert contingency(np.arange(12) % 3, np.arange(12) % 4).shape == (3, 4)
+        with pytest.raises(InvalidParameter, match="cap of 12 cells"):
+            contingency(np.arange(13) % 3, np.arange(13) % 5)
 
     def test_many_predicted_ids_need_no_square_table(self):
         # 4000 singleton clusters against 10 classes: the matching runs on

@@ -18,7 +18,7 @@ def test_unregularized_single_cycle_copies_graph():
     S = random_stochastic(8, 4, seed=0)
     cfg = SolverConfig(c=2, beta=0.0, gamma=0.0, max_iters=1)
     res = fit_one(S, cfg)
-    assert np.array_equal(res.state.Z, S)
+    assert np.array_equal(res.state.Z.dense(), S)
 
 
 def test_monotone_descent():

@@ -355,7 +355,7 @@ class TestInitState:
         S = random_graph_set(6, 3, 1, seed=1).graphs[0].toarray()
         gs = AnchorGraphSet(graphs=[S, S.copy()], k=0)
         state = init_state(gs, SolverConfig(c=2))
-        assert np.array_equal(state.Z, S)
+        assert np.array_equal(state.Z.dense(), S)
 
     def test_orthonormal_G_over_seeds(self):
         gs = random_graph_set(10, 6, 2, seed=2)
@@ -443,6 +443,7 @@ class TestFit:
         gs = random_graph_set(12, 5, 2, seed=8)
         cfg = SolverConfig(c=3, beta=0.4, gamma=0.2, seed=1)
         state = init_state(gs, cfg)
+        state.Z = state.Z.dense()
         for _ in range(10):
             state.F = update_F(state.Z, state.G)
             state.G = update_G(state.Z, state.F, state.G)
@@ -459,7 +460,7 @@ class TestFit:
         cfg = SolverConfig(c=2, max_iters=15, seed=3)
         a, b = fit(gs, cfg), fit(gs, cfg)
         assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.state.Z, b.state.Z)
+        assert np.array_equal(a.state.Z.dense(), b.state.Z.dense())
         assert np.array_equal(a.state.F, b.state.F)
         assert np.array_equal(a.state.G, b.state.G)
         assert np.array_equal(a.state.alpha, b.state.alpha)
@@ -631,13 +632,25 @@ class TestFactoredFit:
             assert_matches_dense_reference(result, graphs, cfg)
             assert np.array_equal(result.state.alpha, [1.0])
 
+    def test_state_keeps_Z_factored(self):
+        # SolverState is a plain record: reading Z builds nothing, and
+        # objective() densifies a FactoredZ itself
+        gs = blob_graphs(seed=4)
+        cfg = SolverConfig(c=5, max_iters=5, seed=4)
+        state = fit(gs, cfg).state
+        assert isinstance(state.Z, solver.FactoredZ)
+        assert not any(isinstance(v, property) for v in vars(solver.SolverState).values())
+        assert objective(state, gs, cfg) == pytest.approx(state.objective_history[-1],
+                                                          rel=1e-10)
+
     def test_threshold_cuts_every_singular_value(self):
         gs = blob_graphs(seed=2)
         cfg = SolverConfig(c=5, beta=1e3, seed=2)
         result = fit(gs, cfg)
         assert_matches_dense_reference(result, gs, cfg)
-        assert not result.state.Z.any()
-        assert not np.signbit(result.state.Z).any()
+        Z = result.state.Z.dense()
+        assert not Z.any()
+        assert not np.signbit(Z).any()
         assert not result.state.F.any()
 
     @pytest.mark.parametrize("beta, gamma", [(0.3, 0.1), (0.0, 0.1), (0.5, 0.0)])

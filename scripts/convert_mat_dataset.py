@@ -14,10 +14,14 @@ axis is not n but whose second is, stored d x n, is transposed; pass
 --transpose to transpose every view. Requires scipy (v7.3 HDF5 .mat
 files are not supported).
 
-Exit codes: 0 success, 1 a views key missing from the file, else the
-exit status of the anchorclust error, with the stderr line the
-anchorclust command prints: 3 for a .mat file that cannot be opened, and
-for a view or label vector whose size disagrees with n.
+Exit codes, each error with the stderr line the anchorclust command
+prints:
+
+    0  success
+    2  a --views-key that the file does not hold (MalformedConfig)
+    3  a .mat file that cannot be opened or parsed; a view that is not a
+       numeric matrix; a label that is not an integer (NaN, inf or
+       fractional); a view or label vector whose size disagrees with n
 """
 
 from __future__ import annotations
@@ -29,8 +33,14 @@ import scipy.io
 
 from anchorclust import MultiViewDataset, save_dataset
 from anchorclust.cli import report_error
-from anchorclust.dataset import remap_labels
-from anchorclust.errors import AnchorClustError, io_errors
+from anchorclust.dataset import VIEW_FORMATS, remap_labels
+from anchorclust.errors import (
+    AnchorClustError,
+    MalformedConfig,
+    MalformedMeta,
+    NonFiniteValue,
+    io_errors,
+)
 
 
 def extract_views(obj):
@@ -54,22 +64,32 @@ def sample_count(views, labels) -> int:
 
 def convert(args) -> None:
     with io_errors(f"reading {args.mat_file}"):
-        mat = scipy.io.loadmat(args.mat_file)
+        try:
+            mat = scipy.io.loadmat(args.mat_file)
+        except OSError:
+            raise
+        except Exception as exc:  # scipy's parser fails in many ways on bad bytes
+            raise MalformedMeta(f"{args.mat_file}: unreadable .mat file "
+                                f"({type(exc).__name__}: {exc})") from None
     if args.views_key not in mat:
         usable = [k for k in mat if not k.startswith("__")]
-        raise SystemExit(f"key {args.views_key!r} not in file; found {usable}")
-    views = extract_views(mat[args.views_key])
+        raise MalformedConfig(f"key {args.views_key!r} not in {args.mat_file}; "
+                              f"found {usable}")
+    views = []
+    for i, X in enumerate(extract_views(mat[args.views_key])):
+        X = X.toarray() if hasattr(X, "toarray") else np.asarray(X)
+        if X.dtype.kind not in "biuf":
+            raise NonFiniteValue(f"view {i}: {X.dtype} entries are not numbers")
+        views.append(X)
 
     labels = None
     if args.labels_key in mat:
-        labels = remap_labels(np.asarray(mat[args.labels_key]).ravel().astype(np.int64))
+        labels = remap_labels(np.asarray(mat[args.labels_key]).ravel())
 
     n = sample_count(views, labels)
     fixed = []
     for i, X in enumerate(views):
-        if hasattr(X, "toarray"):
-            X = X.toarray()
-        if args.transpose or (X.shape[0] != n and X.shape[1] == n):
+        if X.ndim == 2 and (args.transpose or (X.shape[0] != n and X.shape[1] == n)):
             X = X.T
         fixed.append(np.ascontiguousarray(X, dtype=np.float64))
         print(f"view {i}: {fixed[-1].shape}")
@@ -88,7 +108,7 @@ def main() -> int:
     parser.add_argument("--labels-key", default="Y")
     parser.add_argument("--transpose", action="store_true",
                         help="views are stored as d x n")
-    parser.add_argument("--format", choices=["csv", "f64le"], default="f64le")
+    parser.add_argument("--format", choices=VIEW_FORMATS, default="f64le")
     try:
         convert(parser.parse_args())
     except AnchorClustError as exc:

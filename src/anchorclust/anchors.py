@@ -16,9 +16,9 @@ Each view's k-means runs on its own, so anchor j of one view and anchor
 j of another are unrelated centres. build_all therefore permutes the
 graph columns of each view v >= 1 to best match view 0's: perms[v]
 maximizes tr(S_0^T S_v[:, perms[v]]) (Wang et al., "Align then Fusion",
-NeurIPS 2022), the assignment module's solution on the graph set's
-cross-Gram C[0, v]. View 0 keeps its order, so the consensus graph's
-columns follow view 0's anchors.
+NeurIPS 2022), the assignment module's solution on the m x m product
+S_0^T S_v of the graphs as built. View 0 keeps its order, so the
+consensus graph's columns follow view 0's anchors.
 """
 
 from __future__ import annotations
@@ -65,9 +65,10 @@ class AnchorGraphSet:
     (n x Vm); products with H^T go through H.T, a CSC view of its arrays.
     Built with them: the cross-Grams C[v, u] = S_v^T S_u (m x m) and
     Q_vu = <S_v, S_u>_F = tr(C[v, u]), which the solver reads. Column j of
-    S_v is anchor row perms[v, j] of view v: the identity, or build_all's."""
+    S_v is anchor row perms[v, j] of view v: build_all's, or by default the
+    identity. Only __init__ sets H, C, Q and perms."""
 
-    def __init__(self, graphs: list, k: int):
+    def __init__(self, graphs: list, k: int, perms: np.ndarray | None = None):
         if not graphs:
             raise InvalidParameter("graph set needs at least one graph")
         graphs = [S if isinstance(S, sp.csr_array) else sp.csr_array(S)
@@ -78,14 +79,13 @@ class AnchorGraphSet:
                 raise ShapeMismatch(
                     f"graph {i} has shape {S.shape}, expected {(n, m)}"
                 )
-        V = len(graphs)
+        V = self.num_views = len(graphs)
         self.k = k
-        self.num_views = V
         self.H = sp.hstack(graphs, format="csr")
         C = (self.H.T @ self.H).toarray().reshape(V, m, V, m)
         self.C = np.ascontiguousarray(C.transpose(0, 2, 1, 3))
         self.Q = np.einsum("vuii->vu", self.C)
-        self.perms = np.tile(np.arange(m), (V, 1))
+        self.perms = np.tile(np.arange(m), (V, 1)) if perms is None else perms
 
     @property
     def n(self) -> int:
@@ -274,22 +274,16 @@ def build_anchor_graph(X: np.ndarray, anchors: np.ndarray, k: int) -> sp.csr_arr
 
 
 def build_all(ds: MultiViewDataset, anchor_set: AnchorSet, k: int) -> AnchorGraphSet:
-    """Anchor graph per view, view v >= 1 aligned to view 0 by the
-    assignment on -C[0, v] of the graphs as built; then H's columns and
-    C[v, u] -> C[v, u][perms[v]][:, perms[u]] are permuted to match, so the
-    set equals a rebuild from its graphs. O(n*m*d) after anchor selection."""
+    """Anchor graph per view, the columns of view v >= 1 permuted by the
+    assignment on -S_0^T S_v; the set of these. O(n*m*d) after k-means."""
     if len(anchor_set.anchors) != ds.num_views:
         raise ShapeMismatch(
             f"{len(anchor_set.anchors)} anchor matrices for {ds.num_views} views"
         )
-    gs = AnchorGraphSet([build_anchor_graph(X, C, k)
-                         for X, C in zip(ds.views, anchor_set.anchors)], k=k)
-    V, perms = gs.num_views, gs.perms
-    for v in range(1, V):
-        perms[v] = min_cost_assignment(-gs.C[0, v])
-    gs.H = gs.H[:, (np.arange(V)[:, None] * gs.m + perms).ravel()]
-    gs.H.sort_indices()
-    views = np.arange(V)[:, None, None]
-    gs.C = gs.C[views[:, None], views, perms[:, None, :, None], perms[:, None, :]]
-    gs.Q = np.einsum("vuii->vu", gs.C)
-    return gs
+    graphs = [build_anchor_graph(X, C, k) for X, C in zip(ds.views, anchor_set.anchors)]
+    perms = np.tile(np.arange(anchor_set.m), (len(graphs), 1))
+    for v in range(1, len(graphs)):
+        perms[v] = min_cost_assignment(-(graphs[0].T @ graphs[v]).toarray())
+        graphs[v] = graphs[v][:, perms[v]]
+        graphs[v].sort_indices()
+    return AnchorGraphSet(graphs, k, perms)

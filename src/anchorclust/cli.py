@@ -101,16 +101,8 @@ def _apply_mapping(cfg: RunConfig, mapping: dict, source: str) -> None:
     for key, value in mapping.items():
         if key not in _FIELD_KINDS:
             raise MalformedConfig(f"{source}: unknown key {key!r}")
-        kind = _FIELD_KINDS[key]
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        bad_bool = isinstance(value, bool) and kind is not bool
-        if bad_bool or not isinstance(value, kind):
-            raise MalformedConfig(
-                f"{source}: key {key!r} should be {kind.__name__}, "
-                f"got {type(value).__name__}"
-            )
-        setattr(cfg, key, value)
+        setattr(cfg, key, dataset_mod.json_value(value, _FIELD_KINDS[key], source, key,
+                                                 MalformedConfig))
 
 
 def _solver_config(cfg: RunConfig, c: int) -> solver.SolverConfig:
@@ -526,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="output CSV path")
     p.add_argument("--top-k", dest="top_k", type=int,
                    help="keep only the top-k entries per row (COO output)")
-    p.add_argument("--format", choices=["csv", "f64le"], default="csv",
+    p.add_argument("--format", choices=dataset_mod.VIEW_FORMATS, default="csv",
                    help="dense output encoding (n x n, row-major for f64le)")
     p.set_defaults(func=cmd_reconstruct_graph)
 

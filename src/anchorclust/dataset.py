@@ -80,11 +80,9 @@ class MultiViewDataset:
             X.flags.writeable = False
         labels = self.labels
         if labels is not None:
-            labels = np.ascontiguousarray(labels, dtype=np.int64).view()
+            labels = np.ascontiguousarray(_int_labels(labels)).view()
             if labels.ndim != 1 or labels.shape[0] != n:
-                raise ShapeMismatch(
-                    f"labels: length {labels.shape}, expected ({n},)"
-                )
+                raise ShapeMismatch(f"labels: length {labels.shape}, expected ({n},)")
             labels.flags.writeable = False
         object.__setattr__(self, "views", views)
         object.__setattr__(self, "labels", labels)
@@ -100,13 +98,26 @@ class MultiViewDataset:
 
     @property
     def num_classes(self) -> int | None:
-        return None if self.labels is None else int(self.labels.max()) + 1
+        return None if self.labels is None else int(np.unique(self.labels).size)
+
+
+def _int_labels(labels) -> np.ndarray:
+    """labels as int64. Float labels (MATLAB's) must be integers: a NaN, an
+    infinity, a fraction or a number outside int64 raises NonFiniteValue."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biuf":
+        raise NonFiniteValue(f"labels: {labels.dtype} entries are not integers")
+    if labels.dtype.kind in "uf":  # an int64 array cannot hold a bad label
+        ok = (labels >= -(2**63)) & (labels < 2**63) & (labels == np.trunc(labels))
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise NonFiniteValue(f"labels: entry {i} is {labels.flat[i]}, not an int64 integer")
+    return labels.astype(np.int64, copy=False)
 
 
 def remap_labels(raw: np.ndarray) -> np.ndarray:
-    """Map an arbitrary integer label alphabet to 0..c-1, first occurrence first."""
-    raw = np.asarray(raw, dtype=np.int64)
-    uniq, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    """Map integer labels (_int_labels) to 0..c-1, first occurrence first."""
+    uniq, first, inverse = np.unique(_int_labels(raw), return_index=True, return_inverse=True)
     rank = np.empty(len(uniq), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(uniq))
     return rank[inverse]
@@ -182,16 +193,21 @@ def _parse_f64le_matrix(path: Path, n: int, dims: int) -> np.ndarray:
     return data.reshape(n, dims)
 
 
+def json_value(value, kind: type, where: str, key: str, error: type[Exception]):
+    """A JSON value as a kind: an int stands for a float, a bool only for a bool."""
+    if kind is float and type(value) is int:
+        value = float(value)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise error(f"{where}: key '{key}' should be {kind.__name__}, "
+                    f"got {type(value).__name__}")
+    return value
+
+
 def _require(meta: dict, key: str, kind, where: str, least: int | None = None):
-    """meta[key], which must be a kind (not bool) and, given least, >= least."""
+    """meta[key] read as a kind (json_value) and, given least, >= least."""
     if key not in meta:
         raise MalformedMeta(f"{where}: missing key '{key}'")
-    value = meta[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise MalformedMeta(
-            f"{where}: key '{key}' should be {kind.__name__}, "
-            f"got {type(value).__name__}"
-        )
+    value = json_value(meta[key], kind, where, key, MalformedMeta)
     if least is not None and value < least:
         raise MalformedMeta(f"{where}: key '{key}' should be >= {least}, got {value}")
     return value

@@ -41,7 +41,7 @@ class NonFiniteValue(DataError):
 
 
 class MalformedMeta(DataError):
-    """meta.json or anchor_key.json is unparseable or violates its schema."""
+    """meta.json, anchor_key.json or a .mat file is unparseable or off schema."""
 
 
 class MalformedConfig(ConfigError):

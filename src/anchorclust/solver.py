@@ -131,21 +131,19 @@ class FactoredZ:
     """
 
     def __init__(self, graphs: AnchorGraphSet, alpha, F, G, gamma: float, tau: float,
-                 SvtF: np.ndarray | None = None):
+                 SvtF: np.ndarray):
         self.graphs, self.alpha, self.F, self.G = graphs, alpha, F, G
         self.gamma, self.tau = gamma, tau
-        Q = graphs.Q
-        B = graphs.each_t_times(F) if SvtF is None else SvtF  # S_v^T F
         FtF = F.T @ F
         SvtM = np.einsum("vuij,u->vij", graphs.C, alpha)  # S_v^T S_a
-        SvtM = (SvtM + gamma * (B @ G.T)) / (1.0 + gamma)  # S_v^T M
-        MtF = np.tensordot(alpha, B, axes=1)              # S_a^T F
+        SvtM = (SvtM + gamma * (SvtF @ G.T)) / (1.0 + gamma)  # S_v^T M
+        MtF = np.tensordot(alpha, SvtF, axes=1)           # S_a^T F
         MtF = (MtF + gamma * (G @ FtF)) / (1.0 + gamma)   # M^T F
         # M^T M = M^T (S_a + gamma F G^T) / (1 + gamma)
         gram = np.tensordot(alpha, SvtM, axes=1).T
         self.gram = gram = (gram + gamma * (MtF @ G.T)) / (1.0 + gamma)
-        GtB = np.einsum("vic,ic->v", B, G)                # <S_v, F G^T>
-        self.D_views = GtB - Q @ alpha
+        GtB = np.einsum("vic,ic->v", SvtF, G)             # <S_v, F G^T>
+        self.D_views = GtB - graphs.Q @ alpha
         self.D_sq = float(np.sum(FtF * (G.T @ G)) - alpha @ GtB - alpha @ self.D_views)
         self.view_inner = np.einsum("vii->v", SvtM)      # <S_v, M>
         if tau == 0.0:
@@ -212,7 +210,7 @@ def init_state(graphs: AnchorGraphSet, config: SolverConfig) -> SolverState:
     rng = np.random.default_rng(config.seed)
     F = np.abs(rng.standard_normal((n, config.c)))
     G, _ = np.linalg.qr(rng.standard_normal((m, config.c)))
-    Z = FactoredZ(graphs, alpha, F, G, gamma=0.0, tau=0.0)
+    Z = FactoredZ(graphs, alpha, F, G, 0.0, 0.0, graphs.each_t_times(F))
     return SolverState(Z=Z, F=F, G=G, alpha=alpha)
 
 
@@ -255,9 +253,9 @@ def update_G(Z, F: np.ndarray, G_prev: np.ndarray,
 
 
 def update_Z(graphs: AnchorGraphSet, alpha: np.ndarray, F: np.ndarray, G: np.ndarray,
-             beta: float, gamma: float, SvtF: np.ndarray | None = None) -> FactoredZ:
-    """Exact Z-block minimizer: the SVT of the blended target, factored.
-    SvtF, the products S_v^T F, is formed here when not given."""
+             beta: float, gamma: float, SvtF: np.ndarray) -> FactoredZ:
+    """Exact Z-block minimizer: the SVT of the blended target, factored,
+    given SvtF, the V products S_v^T F as a V x m x c array."""
     return FactoredZ(graphs, alpha, F, G, gamma, beta / (2.0 * (1.0 + gamma)), SvtF)
 
 
@@ -349,10 +347,9 @@ def _objective(Z: FactoredZ, alpha: np.ndarray, beta: float, gamma: float) -> fl
         Z - S_alpha = (Z - M) + k D + S_d
         Z - F G^T   = (Z - M) - (1 - k) D
     """
-    Q = Z.graphs.Q
     k = Z.gamma / (1.0 + Z.gamma)
     d = Z.alpha - alpha
-    fit_term = (Z.res_sq + k * k * Z.D_sq + float(d @ Q @ d) + 2.0 * k * Z.res_D
+    fit_term = (Z.res_sq + k * k * Z.D_sq + float(d @ Z.graphs.Q @ d) + 2.0 * k * Z.res_D
                 + 2.0 * float(d @ Z.res_views) + 2.0 * k * float(d @ Z.D_views))
     factor_term = Z.res_sq + (1.0 - k) ** 2 * Z.D_sq - 2.0 * (1.0 - k) * Z.res_D
     nuclear = Z.nuclear_norm() if beta != 0.0 else 0.0

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import shutil
@@ -540,3 +541,50 @@ class TestGraphCache:
     def test_graph_set_shape_check(self):
         with pytest.raises(Exception):
             AnchorGraphSet(graphs=[np.ones((3, 2)), np.ones((4, 2))], k=1)
+
+
+def test_graph_set_fields_written_only_in_init():
+    # H, C, Q and perms are set once, by AnchorGraphSet.__init__: an
+    # assignment to them (or into them, or an in-place sort) anywhere else
+    # in the package is a second writer that can leave them disagreeing
+    fields = {"H", "C", "Q", "perms"}
+    in_place = {"sort_indices", "sum_duplicates", "eliminate_zeros", "sort", "fill"}
+
+    def field_of(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr in fields
+
+    def writes(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = [e for t in node.targets
+                           for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in in_place and field_of(node.func.value):
+                    yield node
+                elif (name in ("setattr", "__setattr__") and len(node.args) > 1
+                      and getattr(node.args[1], "value", None) in fields):
+                    yield node
+                continue
+            else:
+                continue
+            if any(field_of(t) for t in targets):
+                yield node
+
+    package = Path(anchorclust.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "anchors.py":
+            init = next(node for node in ast.walk(tree)
+                        if isinstance(node, ast.ClassDef) and node.name == "AnchorGraphSet")
+            init = next(f for f in init.body if getattr(f, "name", "") == "__init__")
+            allowed = {id(node) for node in ast.walk(init)}
+        found += [f"{path.name}:{node.lineno}" for node in writes(tree)
+                  if id(node) not in allowed]
+    assert found == []

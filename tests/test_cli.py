@@ -6,6 +6,8 @@ import errno
 import json
 import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -1358,3 +1360,30 @@ def test_only_cli_prints():
             and node.func.id == "print"
         ]
     assert printers == []
+
+
+class TestModuleEntryPoint:
+    """python -m anchorclust, in a child interpreter."""
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "anchorclust", *map(str, argv)],
+                              capture_output=True, text=True, env=env)
+
+    def test_evaluate_prints_scores(self, tmp_path):
+        (tmp_path / "y.txt").write_text("0\n0\n1\n2\n2\n")
+        done = self.run("evaluate", tmp_path / "y.txt", tmp_path / "y.txt")
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert json.loads(done.stdout) == dict.fromkeys(
+            ["acc", "nmi", "purity", "ari", "f_score", "precision"], 1.0)
+
+    def test_config_error_exits_2_with_one_line(self, blob_dir, tmp_path):
+        done = self.run("fit", blob_dir, "--output", tmp_path / "o", "--m", "1")
+        assert done.returncode == 2
+        assert done.stderr == ("config error [InvalidParameter]: need m >= 2 and k >= 1, "
+                               "got m=1, k=5\n")
+        assert done.stdout == ""

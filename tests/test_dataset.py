@@ -1,5 +1,7 @@
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +186,78 @@ class TestLoad:
             load_dataset(root)
 
 
+# any JSON value, for a meta.json key or entry of the wrong kind
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**64) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=2),
+    max_leaves=4,
+)
+
+
+@st.composite
+def dataset_directories(draw):
+    """(meta.json object, {file name: bytes}): a well-formed directory of
+    1-2 views and labels, each key, entry and file of which is dropped or
+    replaced by random JSON or bytes now and then."""
+    def odd():  # true about one time in ten
+        return draw(st.sampled_from(range(10))) == 7
+
+    def value(good):
+        return draw(JUNK) if odd() else good
+
+    def pick(good, bad):
+        return draw(bad if odd() else good)
+
+    n = pick(st.integers(1, 5), st.integers(-1, 0))
+    rows = max(n, 0) + odd() - odd()
+    meta, files = {}, {}
+    for i in range(pick(st.integers(1, 2), st.just(0))):
+        dims = pick(st.integers(1, 3), st.integers(-1, 0))
+        fmt = pick(st.sampled_from(["csv", "f64le"]), st.sampled_from(["npy", "CSV"]))
+        row = draw(st.lists(st.floats(width=32) | st.integers(-3, 3),
+                            min_size=max(dims, 0), max_size=max(dims, 0)))
+        X = [row] * max(rows, 0)
+        name = f"v{i}.{fmt}"
+        if fmt == "csv":
+            files[name] = "".join(",".join(map(str, r)) + "\n" for r in X).encode()
+        else:
+            files[name] = np.array(X, dtype="<f8").tobytes()
+        entry = {"name": f"view{i}", "file": name, "dims": dims, "format": fmt}
+        meta.setdefault("views", []).append(
+            value({k: value(v) for k, v in entry.items() if not odd()}))
+    labels = draw(st.lists(st.integers(-2, 2) | st.floats(width=16), min_size=max(rows, 0),
+                           max_size=max(rows, 0)))
+    files["y.txt"] = "".join(f"{y}\n" for y in labels).encode()
+    for key, good in [("n", n), ("views", meta.get("views", [])), ("labels", "y.txt")]:
+        if not odd():
+            meta[key] = value(good)
+    for name in list(files):
+        if odd():
+            files[name] = draw(st.binary(max_size=40))
+    return value(meta), files
+
+
+class TestMalformedDirectories:
+    @settings(max_examples=200, deadline=None)
+    @given(directory=dataset_directories())
+    def test_load_returns_or_raises_a_typed_error(self, directory):
+        # meta.json with wrong kinds, missing keys, n or dims <= 0 and
+        # unknown formats, over random view and label bytes: the load
+        # either succeeds or raises one of the package's errors
+        meta, files = directory
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "meta.json").write_text(json.dumps(meta))
+            for name, body in files.items():
+                (root / name).write_bytes(body)
+            try:
+                ds = load_dataset(root)
+            except AnchorClustError:
+                return
+            assert ds.n == meta["n"] and ds.num_views == len(meta["views"])
+
+
 def parse_outcome(parse, path, dims):
     """What a CSV parser makes of a file: its bits, or its typed error."""
     try:
@@ -323,6 +397,37 @@ class TestValidation:
 
     def test_unlabeled_has_no_class_count(self):
         assert MultiViewDataset(views=[np.ones((2, 2))]).num_classes is None
+
+    @pytest.mark.parametrize("labels, message", [
+        ([1.5, 1.2, 2.0], "entry 0 is 1.5, not an int64 integer"),
+        ([1.0, np.nan, 2.0], "entry 1 is nan,"),
+        ([np.inf, 1.0, 2.0], "entry 0 is inf,"),
+        ([1.0, 2.0, -np.inf], "entry 2 is -inf,"),
+        ([0.0, 2.0**63, 1.0], r"entry 1 is 9.223372036854776e\+18,"),
+        (np.array([0, 2**63, 1], dtype=np.uint64), "entry 1 is 9223372036854775808,"),
+        (["a", "b", "c"], "<U1 entries are not integers"),
+        ([1 + 0j, 2, 3], "complex128 entries are not integers"),
+    ])
+    def test_non_integer_labels_refused(self, labels, message):
+        # once cast silently: 1.5 and 1.2 became one class, NaN became INT64_MIN
+        with pytest.raises(NonFiniteValue, match=f"labels: {message}"):
+            MultiViewDataset(views=[np.ones((3, 1))], labels=labels)
+        with pytest.raises(NonFiniteValue, match=f"labels: {message}"):
+            remap_labels(labels)
+
+    @pytest.mark.parametrize("labels, classes", [
+        ([3.0, 7.0, 9.0], 3), ([3, 7, 9], 3), ([-1, 0, 1], 3), ([5, 5, 5], 1),
+        ([-(2.0**63), 0.0, 0.0], 2), (np.array([2, 0, 2], dtype=np.uint8), 2),
+        ([True, False, True], 2),
+    ])
+    def test_integer_labels_kept_and_counted(self, labels, classes):
+        # integral floats are how MATLAB stores labels; the class count is
+        # the number of distinct labels, not max + 1
+        ds = MultiViewDataset(views=[np.ones((3, 1))], labels=labels)
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [int(y) for y in labels]
+        assert ds.num_classes == classes
+        assert remap_labels(labels).tolist() == remap_labels(ds.labels).tolist()
 
     def test_non_finite_located(self):
         X = np.ones((3, 2))

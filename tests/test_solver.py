@@ -704,7 +704,8 @@ class TestFactoredFit:
             M = (U * np.logspace(0, -12, m)) @ W.T
             F = np.abs(rng.standard_normal((n, 3)))
             G = random_orthonormal(m, 3, seed=trial)
-            Z = update_Z(AnchorGraphSet(graphs=[M], k=0), np.ones(1), F, G, 2.0 * tau, 0.0)
+            gs = AnchorGraphSet(graphs=[M], k=0)
+            Z = update_Z(gs, np.ones(1), F, G, 2.0 * tau, 0.0, gs.each_t_times(F))
             s = np.linalg.svd(M, compute_uv=False)
             kept = np.maximum(s - tau, 0.0)
             worst = np.maximum(worst, [

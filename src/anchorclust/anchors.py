@@ -1,8 +1,10 @@
 """Anchor selection and normalized k-NN anchor graph construction.
 
-Anchors are per-view k-means centers. A graph row spreads unit mass over
-the k nearest anchors of a sample: with phi the squared Euclidean distance
-and phi_(1) <= ... <= phi_(k+1) the sorted anchor distances of a row,
+Anchors are per-view k-means centers; above SAMPLE_PER_ANCHOR * m rows,
+k-means runs on a sample of the rows and is finished on all of them. A
+graph row spreads unit mass over the k nearest anchors of a sample: with
+phi the squared Euclidean distance and phi_(1) <= ... <= phi_(k+1) the
+sorted anchor distances of a row,
 
     weight of the j-th nearest anchor
         = (phi_(k+1) - phi_(j)) / (k * phi_(k+1) - sum_{h<=k} phi_(h))
@@ -165,17 +167,24 @@ def _kmeans_pp_init(X, m, rng, x2):
     return centers, degenerate
 
 
-def kmeans(X: np.ndarray, m: int, rng, max_iters: int = 100):
-    """Lloyd k-means with k-means++ seeding.
+# Above SAMPLE_PER_ANCHOR * m rows, k-means seeds and converges on a
+# sample of that many rows and then runs FULL_PASSES Lloyd iterations on
+# all rows, as LMVSC (Kang et al., AAAI 2020) takes anchors from a sample:
+# full k-means costs O(n m d) per iteration for up to max_iters, and the
+# timings and NMI behind these constants are in README.md.
+SAMPLE_PER_ANCHOR = 50
+FULL_PASSES = 5
+# Names the rule above in the anchor cache's key, so that entries another
+# rule wrote miss.
+ANCHOR_RULE = f"k-means++ on {SAMPLE_PER_ANCHOR}*m rows, {FULL_PASSES} passes on all"
 
-    Empty clusters are reseeded to the point currently farthest from its
-    own center. Returns (centers, iterations_run, degenerate_flag).
-    """
-    n = X.shape[0]
-    if not (1 <= m <= n):
-        raise InvalidParameter(f"need 1 <= m <= n, got m={m}, n={n}")
-    x2 = np.sum(X * X, axis=1)
-    centers, degenerate = _kmeans_pp_init(X, m, rng, x2)
+
+def _lloyd(X, centers, x2, max_iters):
+    """Up to max_iters Lloyd iterations from centers, stopping when neither
+    the assignment nor the centers change. Empty clusters are reseeded to
+    the point currently farthest from its own center. Returns (centers,
+    iterations_run)."""
+    n, m = X.shape[0], centers.shape[0]
     assign = None
     iters = 0
     for iters in range(1, max_iters + 1):
@@ -192,7 +201,35 @@ def kmeans(X: np.ndarray, m: int, rng, max_iters: int = 100):
         centers, assign = new_centers, new_assign
         if same_assign and not moved:
             break
-    return centers, iters, degenerate
+    return centers, iters
+
+
+def kmeans(X: np.ndarray, m: int, rng, max_iters: int = 100):
+    """Lloyd k-means with k-means++ seeding, on all n rows of X up to
+    SAMPLE_PER_ANCHOR * m rows. Above that, seeding and up to max_iters
+    Lloyd iterations run on that many rows drawn without replacement (in
+    row order), then FULL_PASSES Lloyd iterations on all rows.
+
+    Returns (centers, iterations_run, degenerate_flag); the iterations
+    count both stages, and the flag says that X has fewer than m distinct
+    rows, so that duplicate centers were kept.
+    """
+    n = X.shape[0]
+    if not (1 <= m <= n):
+        raise InvalidParameter(f"need 1 <= m <= n, got m={m}, n={n}")
+    x2 = np.sum(X * X, axis=1)
+    size = SAMPLE_PER_ANCHOR * m
+    if n <= size:
+        centers, degenerate = _kmeans_pp_init(X, m, rng, x2)
+        centers, iters = _lloyd(X, centers, x2, max_iters)
+        return centers, iters, degenerate
+    rows = np.sort(rng.choice(n, size=size, replace=False))
+    centers, degenerate = _kmeans_pp_init(X[rows], m, rng, x2[rows])
+    centers, sample_iters = _lloyd(X[rows], centers, x2[rows], max_iters)
+    centers, iters = _lloyd(X, centers, x2, FULL_PASSES)
+    # a sample can miss a rare row, so the view itself decides
+    degenerate = degenerate and np.unique(X, axis=0).shape[0] < m
+    return centers, sample_iters + iters, degenerate
 
 
 def select_anchors(

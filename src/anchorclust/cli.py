@@ -218,16 +218,17 @@ def cached_anchors(ds, m: int, seed: int,
                    root: Path) -> tuple[anchors_mod.AnchorSet, bool]:
     """The anchors of ds for m and seed, kept by --cache-graphs under root
     as an f64le dataset directory beside the key file ANCHOR_KEY_FILE: m,
-    the seed and a digest of the views' shapes and bytes as k-means sees
-    them. Returns (anchor set, hit). A hit loads the entry; a miss reads
-    no anchor file, runs k-means and saves the entry, the old key file
-    removed first and the new one written last, so that an interrupted
-    save reads as a miss."""
+    the seed, the anchor rule (anchors.ANCHOR_RULE) and a digest of the
+    views' shapes and bytes as k-means sees them. Returns (anchor set,
+    hit). A hit loads the entry; a miss reads no anchor file, runs k-means
+    and saves the entry, the old key file removed first and the new one
+    written last, so that an interrupted save reads as a miss."""
     digest = hashlib.blake2b(digest_size=16)
     for X in ds.views:
         digest.update(repr(X.shape).encode())
         digest.update(np.ascontiguousarray(X))
-    key = {"m": m, "seed": seed, "digest": digest.hexdigest()}
+    key = {"m": m, "seed": seed, "anchors": anchors_mod.ANCHOR_RULE,
+           "digest": digest.hexdigest()}
     key_path = root / ANCHOR_KEY_FILE
     try:
         hit = dataset_mod.read_json(key_path, MalformedMeta) == key

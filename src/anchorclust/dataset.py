@@ -310,9 +310,10 @@ def save_dataset(ds: MultiViewDataset, root_path, fmt: str = "csv") -> None:
 
 
 def write_labels(labels, path) -> None:
-    """Write one integer per line, as load_labels_file reads."""
+    """Write an integer array one entry per line, as load_labels_file
+    reads, in one write."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{int(y)}\n" for y in labels)
+        fh.write("".join(f"{y}\n" for y in labels.tolist()))
 
 
 def write_matrix_f64le(X, path) -> None:

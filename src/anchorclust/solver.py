@@ -103,6 +103,12 @@ class ClusteringResult:
     converged: bool
 
 
+def _weighted_sum(alpha: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_v alpha_v X[v] for a V x ... array X: the one matrix product
+    that np.tensordot(alpha, X, axes=1) makes, without its overhead."""
+    return np.dot(alpha.reshape(1, -1), X.reshape(X.shape[0], -1)).reshape(X.shape[1:])
+
+
 def _gram_svd(gram: np.ndarray):
     """Right singular vectors and singular values of a matrix whose Gram
     matrix is `gram`, by its eigendecomposition."""
@@ -137,10 +143,10 @@ class FactoredZ:
         FtF = F.T @ F
         SvtM = np.einsum("vuij,u->vij", graphs.C, alpha)  # S_v^T S_a
         SvtM = (SvtM + gamma * (SvtF @ G.T)) / (1.0 + gamma)  # S_v^T M
-        MtF = np.tensordot(alpha, SvtF, axes=1)           # S_a^T F
+        MtF = _weighted_sum(alpha, SvtF)                  # S_a^T F
         MtF = (MtF + gamma * (G @ FtF)) / (1.0 + gamma)   # M^T F
         # M^T M = M^T (S_a + gamma F G^T) / (1 + gamma)
-        gram = np.tensordot(alpha, SvtM, axes=1).T
+        gram = _weighted_sum(alpha, SvtM).T
         self.gram = gram = (gram + gamma * (MtF @ G.T)) / (1.0 + gamma)
         GtB = np.einsum("vic,ic->v", SvtF, G)             # <S_v, F G^T>
         self.D_views = GtB - graphs.Q @ alpha
@@ -185,7 +191,7 @@ class FactoredZ:
 
     def t_times(self, Y: np.ndarray, SvtY: np.ndarray) -> np.ndarray:
         """Z^T Y, given the V products S_v^T Y as a V x m x c array."""
-        MtY = np.tensordot(self.alpha, SvtY, axes=1)
+        MtY = _weighted_sum(self.alpha, SvtY)
         MtY = (MtY + self.gamma * (self.G @ (self.F.T @ Y))) / (1.0 + self.gamma)
         return MtY if self.P is None else self.P @ MtY
 

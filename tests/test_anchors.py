@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -20,6 +21,7 @@ from oracles import (
 )
 
 import anchorclust
+from anchorclust import anchors as anchors_mod
 from anchorclust.anchors import (
     AnchorGraphSet,
     AnchorSet,
@@ -216,6 +218,68 @@ class TestSelectAnchors:
             h.update(np.ascontiguousarray(C).tobytes())
         assert (h.hexdigest(), a.kmeans_iters_used) == (
             "c3256dafce4553763908e84f088555a3", 19)
+
+    @pytest.mark.parametrize("n, seeded_rows, pinned", [
+        # at n = 50 m the digest of the anchors before k-means sampled rows
+        (600, 600, ("574d55db1bc37d68e8363a57f043d3d3", 17)),
+        # above, k-means on 600 sampled rows, then FULL_PASSES Lloyd
+        # iterations on all rows, counted in the iterations
+        (601, 600, ("43ecf4f96b6d93a68900184b49155f22", 16)),
+        (1000, 600, ("12855e21beeafa9d2215d336632947ef", 26)),
+    ])
+    def test_sample_above_fifty_rows_per_anchor(self, monkeypatch, n, seeded_rows,
+                                                pinned):
+        assert anchors_mod.SAMPLE_PER_ANCHOR * 12 == 600
+        seen = []
+        seed_rows = anchors_mod._kmeans_pp_init
+
+        def recording(X, *args):
+            seen.append(X.shape[0])
+            return seed_rows(X, *args)
+
+        monkeypatch.setattr(anchors_mod, "_kmeans_pp_init", recording)
+        ds = synth_blobs(n=n, c=4, V=2, dims=[6, 9], noise=1.5, seed=11)
+        a = select_anchors(ds, m=12, seed=5, max_iters=25)
+        assert seen == [seeded_rows, seeded_rows]
+        h = hashlib.blake2b(digest_size=16)
+        for C in a.anchors:
+            h.update(np.ascontiguousarray(C).tobytes())
+        assert (h.hexdigest(), a.kmeans_iters_used) == pinned
+
+    @pytest.mark.parametrize("rare_row_kept", [True, False])
+    def test_degenerate_view_decided_on_the_view(self, monkeypatch, rare_row_kept):
+        # n = 50 m + 1 rows and m distinct ones, one of them once, at the one
+        # row the sample leaves out: the sample has m - 1 distinct rows and
+        # its seeding is degenerate, but the view is not, and the full
+        # passes give the rare row its own anchor. Without the rare row the
+        # view itself has m - 1 distinct rows and warns.
+        m, seed = 4, 0
+        n = anchors_mod.SAMPLE_PER_ANCHOR * m + 1
+        left_out = np.setdiff1d(
+            np.arange(n),
+            np.random.default_rng(seed).choice(n, size=n - 1, replace=False))
+        common = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
+        X = np.delete(np.repeat(common, n // 3 + 1, axis=0), slice(n, None), axis=0)
+        if rare_row_kept:
+            X[left_out] = [9.0, 9.0]
+        flags = []
+        seed_rows = anchors_mod._kmeans_pp_init
+
+        def recording(*args):
+            centers, degenerate = seed_rows(*args)
+            flags.append(degenerate)
+            return centers, degenerate
+
+        monkeypatch.setattr(anchors_mod, "_kmeans_pp_init", recording)
+        ds = MultiViewDataset(views=[X])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            a = select_anchors(ds, m=m, seed=seed)
+        assert flags == [True]
+        warned = [w.category for w in caught] == [DegenerateViewWarning]
+        assert warned is not rare_row_kept
+        distinct = {tuple(r) for r in a.anchors[0]}
+        assert distinct == {tuple(r) for r in X}
 
     def test_deterministic(self):
         ds = synth_blobs(60, 3, 2, [3, 4], seed=11)
@@ -537,6 +601,27 @@ class TestGraphCache:
             cached_anchors(ds, 4, 9, tmp_path / "cache")
         (tmp_path / "cache" / ANCHOR_KEY_FILE).unlink()
         assert not cached_anchors(ds, 4, 9, tmp_path / "cache")[1]
+
+    def test_key_without_the_anchor_rule_is_a_miss_and_rewritten(self, tmp_path):
+        # an entry keyed before the key named the anchor rule may hold
+        # anchors of full k-means on every row
+        ds = synth_blobs(30, 2, 2, [2, 3], seed=0)
+        root = tmp_path / "cache"
+        cached_anchors(ds, 4, 9, root)
+        key_path = root / ANCHOR_KEY_FILE
+        key = json.loads(key_path.read_text(encoding="utf-8"))
+        assert key["anchors"] == anchors_mod.ANCHOR_RULE
+        old_key = {name: key[name] for name in ("m", "seed", "digest")}
+        key_path.write_text(json.dumps(old_key), encoding="utf-8")
+        stale = np.zeros((4, 2))
+        (root / "view0.f64").write_bytes(stale.tobytes())
+        anchor_set, hit = cached_anchors(ds, 4, 9, root)
+        assert not hit and not np.array_equal(anchor_set.anchors[0], stale)
+        assert json.loads(key_path.read_text(encoding="utf-8")) == key
+        back, hit = cached_anchors(ds, 4, 9, root)
+        assert hit
+        for Ca, Cb in zip(anchor_set.anchors, back.anchors):
+            assert np.array_equal(Ca, Cb)
 
     def test_graph_set_shape_check(self):
         with pytest.raises(Exception):
